@@ -134,14 +134,6 @@ class CharacteristicsModel:
     fixed_atoms: FixedAtomSchedule = ()
 
     @property
-    def bk_is_linear(self) -> bool:
-        return (
-            self.drift_profile is None
-            and self.drift_path_fn is None
-            and not self.fixed_atoms
-        )
-
-    @property
     def bk_finite_variation(self) -> bool:
         return self.drift_path_fn is None
 

@@ -33,10 +33,11 @@ from .characteristics import (
     continuous_bracket_check,
     decompose,
     drift_bracket_check,
+    known_characteristics,
     smooth_clip_truncation,
     standard_truncation,
 )
-from .paths import CadlagPath, TimeGrid
+from .paths import CadlagPath, GridAlignmentError, TimeGrid
 from .regularize import (
     CovariationEstimate,
     EpsilonSchedule,
@@ -62,6 +63,7 @@ from .simulate import (
     LevyJumpDiffusion,
     SeedSpec,
     UniformJumps,
+    _QUAD_NODES,
     simulate_path,
 )
 
@@ -174,6 +176,18 @@ def _build_grid(cfg: dict) -> TimeGrid:
     return TimeGrid(T=float(cfg["grid"]["horizon"]), n_steps=int(cfg["grid"]["steps"]))
 
 
+def _schedule(multiples, grid: TimeGrid) -> EpsilonSchedule:
+    """The eps schedule, checked against the grid it will run on."""
+    try:
+        schedule = EpsilonSchedule(tuple(multiples))
+        schedule.epsilons(grid)
+    except ValueError as exc:
+        raise ConfigError(
+            f"eps_multiples {list(multiples)} do not fit {grid.n_steps} steps: {exc}"
+        ) from exc
+    return schedule
+
+
 def _truncation(cfg: dict):
     return standard_truncation() if cfg["truncation"] == "standard" else smooth_clip_truncation()
 
@@ -282,7 +296,7 @@ def cmd_simulate(cfg: dict, outdir: Path) -> int:
 def _estimator_command(cfg: dict, outdir: Path, command: str) -> int:
     grid = _build_grid(cfg)
     X = _source_path(cfg, grid)
-    schedule = EpsilonSchedule(tuple(cfg["eps_multiples"]))
+    schedule = _schedule(cfg["eps_multiples"], X.grid)
     if command == "qv":
         est = covariation_limit(X, X, schedule)
     else:
@@ -311,10 +325,18 @@ def cmd_residual(cfg: dict, outdir: Path) -> int:
         raise ConfigError("residual needs a model")
     grid = _build_grid(cfg)
     model = _build_model(cfg["model"])
+    k = _truncation(cfg)
+    for t in cfg["times"]:
+        try:
+            grid.index_of(t)
+        except GridAlignmentError as exc:
+            raise ConfigError(f"residual time {t}: {exc}") from exc
+    if cfg["mode"] == "semimartingale" and not known_characteristics(model, k).bk_finite_variation:
+        raise ConfigError("mode semimartingale needs a finite-variation drift; use weak_dirichlet")
     ens = residual_ensemble(
         model,
         grid,
-        _truncation(cfg),
+        k,
         _test_function(cfg),
         master_seed=cfg["seed"],
         n_paths=cfg["paths"],
@@ -325,7 +347,7 @@ def cmd_residual(cfg: dict, outdir: Path) -> int:
     )
     report = martingale_mean_test(ens, alpha_se=cfg["alpha_se"])
     payload = report.to_dict()
-    payload["quadrature_nodes"] = 40
+    payload["quadrature_nodes"] = _QUAD_NODES
     _write_json(outdir / "residual_report.json", payload)
     _write_manifest(outdir, cfg, "residual", {"pass": report.passed}, [])
     return EXIT_OK if report.passed else EXIT_STATFAIL
@@ -337,6 +359,7 @@ def cmd_decompose(cfg: dict, outdir: Path) -> int:
     grid = _build_grid(cfg)
     model = _build_model(cfg["model"])
     k = _truncation(cfg)
+    schedule = _schedule(cfg["eps_multiples"], grid)
     X = simulate_path(model, grid, SeedSpec(cfg["seed"], 0))
     dec = decompose(X, model, k)
     times = grid.times()
@@ -351,7 +374,6 @@ def cmd_decompose(cfg: dict, outdir: Path) -> int:
                 _fmt(dec.drift.values[i]),
                 _fmt(dec.large_jumps.values[i]),
             ])
-    schedule = EpsilonSchedule(tuple(cfg["eps_multiples"]))
     tol = cfg["tolerance"]
     reports = {}
     nonconverged = False
@@ -411,11 +433,11 @@ def cmd_sweep(cfg: dict, outdir: Path) -> int:
     sw = cfg["sweep"]
     eps_multiples = sw.get("eps_multiples", cfg["eps_multiples"])
     horizon = float(cfg["grid"]["horizon"])
+    grids = [TimeGrid(horizon, int(steps)) for steps in sw["steps_list"]]
+    schedules = [_schedule(eps_multiples, grid) for grid in grids]
     rows = []
-    for steps in sw["steps_list"]:
-        grid = TimeGrid(horizon, int(steps))
+    for grid, schedule in zip(grids, schedules):
         X = simulate_path(_build_model(cfg["model"]), grid, SeedSpec(cfg["seed"], 0))
-        schedule = EpsilonSchedule(tuple(eps_multiples))
         est = covariation_limit(X, X, schedule)
         times = grid.times()
         for eps, traj in zip(est.eps_values, est.trajectories):

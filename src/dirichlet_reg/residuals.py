@@ -36,7 +36,7 @@ from .regularize import (
     _fwd_eps,
     _qv_eps,
 )
-from .simulate import ModelSpec, SeedSpec, simulate_path, BrownianMotion
+from .simulate import _QUAD_NODES, ModelSpec, SeedSpec, simulate_path, BrownianMotion
 
 __all__ = [
     "TestFunction",
@@ -195,12 +195,13 @@ def _compensator_term(
     left: np.ndarray,
     F: TestFunction,
     dt: float,
+    atom_idx: np.ndarray,
 ) -> np.ndarray:
-    """Cumulative compensated-jump correction, batched over leading axes.
+    """Cumulative compensated-jump correction over (B, n+1) rows.
 
     Continuous part: left Riemann sum of
         rate * E[F(s, X_{s-} + J) - F(s, X_{s-}) - k(J) dF/dx(s, X_{s-})],
-    plus fixed-atom contributions at their nodes.
+    plus fixed-atom contributions at their nodes ``atom_idx``.
     """
     k = chars.truncation
     integrand = np.zeros_like(left)
@@ -220,86 +221,107 @@ def _compensator_term(
             acc += w_i * F.f(times, left + x_i)
         integrand += rate * (acc - base_f - kbar * base_fx)
     out = _cumsum0(integrand[..., :-1] * dt)
-    for s, atoms in chars.fixed_atoms:
-        i = int(round(s / dt))
-        xl = left[..., i]
-        ts = times[..., i] if times.ndim else s
-        contrib = np.zeros_like(xl)
-        for x_a, w_a in atoms:
-            ka = float(k(np.float64(x_a)))
-            contrib = contrib + w_a * (
-                F.f(ts, xl + x_a) - F.f(ts, xl) - ka * F.fx(ts, xl)
+    for i, (_, atoms) in zip(atom_idx, chars.fixed_atoms):
+        ts = times[0, i]
+        # scalar evaluation row by row: numpy's vector and scalar loops for
+        # transcendentals may differ in the last bit, and a residual row must
+        # not depend on the batch it is computed in
+        for row, xl in zip(out, left[:, i]):
+            f0, fx0 = F.f(ts, xl), F.fx(ts, xl)
+            row[i:] += sum(
+                w_a * (F.f(ts, xl + x_a) - f0 - float(k(np.float64(x_a))) * fx0)
+                for x_a, w_a in atoms
             )
-        out[..., i:] += contrib[..., None] if np.ndim(contrib) else contrib
     return out
 
 
-def _drift_arrays(
-    chars: CharacteristicsModel, path: CadlagPath
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(continuous drift values, atom step indices, atom step sizes)."""
-    bk = chars.bk_values(path)
-    if not chars.fixed_atoms:
-        return bk, np.empty(0, np.int64), np.empty(0)
-    idx, vals = chars.atom_k_integrals(path.grid)
-    steps = np.zeros(path.grid.n_nodes)
-    np.add.at(steps, idx, vals)
-    return bk - np.cumsum(steps), idx, vals
-
-
-def _residual_terms(
+def _residual_rows(
     chars: CharacteristicsModel,
     grid: TimeGrid,
     values: np.ndarray,
     left: np.ndarray,
-    bk_cont: np.ndarray,
-    atom_idx: np.ndarray,
-    atom_sizes: np.ndarray,
+    bk: np.ndarray,
     F: TestFunction,
-    drift_integrand: np.ndarray,
-    bk_qv_cont_increments: np.ndarray | None,
-    eps_multiple: int | None,
-) -> dict[str, np.ndarray]:
-    """Shared assembly of the five residual terms; batched over leading axes.
+    mode: str,
+    schedule: EpsilonSchedule | None,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The one residual assembly: (B, n+1) rows of residual values and terms.
 
-    ``drift_integrand`` is dF/dx evaluated where the chosen formulation wants
-    it (right values for the forward-integral form, left limits for the
-    classical Stieltjes form).
+    ``values``, ``left`` and ``bk`` hold one path per row: right values, left
+    limits and the drift characteristic (``CharacteristicsModel.bk_values``).
+    The mode picks the drift integrand: dF/dx at right values for
+    ``"weak_dirichlet"`` (forward-integral form), at left limits for
+    ``"semimartingale"`` (classical Stieltjes form, finite-variation drift
+    only).  A path-dependent drift is integrated by the eps-regularized forward
+    rule at the schedule's finest eps, and its continuous bracket enters the
+    second-order term at the same eps, so the two discretization biases
+    cancel.  Fixed atoms of the compensator sit at ``atom_k_integrals`` nodes:
+    their k-jumps leave the continuous drift and enter the drift term with a
+    left-limit integrand, and their jump correction enters the compensator.
     """
-    times = grid.times()
+    if mode == "semimartingale":
+        if not chars.bk_finite_variation:
+            raise ValueError(
+                "classical residual needs a finite-variation drift characteristic; "
+                "use weak_dirichlet mode for path-dependent drift"
+            )
+    elif mode != "weak_dirichlet":
+        raise ValueError(f"unknown residual mode {mode!r}")
+    # a (1, n+1) row: against a batch of one, numpy runs the elementwise
+    # loops faster than when it broadcasts a 1-D array
+    times = grid.times()[None]
     dt = grid.dt
+
+    atom_idx, atom_sizes = chars.atom_k_integrals(grid)
+    if atom_idx.size:
+        steps = np.zeros(grid.n_nodes)
+        np.add.at(steps, atom_idx, atom_sizes)
+        bk = bk - np.cumsum(steps)
 
     fv = F.f(times, values)
     term_value = fv - fv[..., :1]
     term_time = -_cumsum0(F.ft(times, values)[..., :-1] * dt)
 
-    c_inc = np.diff(chars.c_values(grid))
-    fxx = F.fxx(times, values)
-    if bk_qv_cont_increments is not None:
-        inc = c_inc + bk_qv_cont_increments
+    inc = np.diff(chars.c_values(grid))
+    integrand = F.fx(times, values if mode == "weak_dirichlet" else left)
+    if chars.drift_path_fn is not None:
+        m = (schedule or default_schedule(grid)).multiples[-1]
+        inc = inc + np.diff(_qv_eps(bk, m))
+        term_drift = -_fwd_eps(integrand, bk, m)
     else:
-        inc = c_inc
-    term_second = -0.5 * _cumsum0(fxx[..., :-1] * inc)
-
-    if eps_multiple is not None:
-        # rough drift part integrated by the eps-regularized forward rule
-        term_drift = -_fwd_eps(drift_integrand, bk_cont, eps_multiple)
-    else:
-        term_drift = -_cumsum0(drift_integrand[..., :-1] * np.diff(bk_cont, axis=-1))
+        term_drift = -_cumsum0(integrand[..., :-1] * np.diff(bk))
+    term_second = -0.5 * _cumsum0(F.fxx(times, values)[..., :-1] * inc)
     if atom_idx.size:
         fx_left = F.fx(times, left)
         for i, s in zip(atom_idx, atom_sizes):
-            term_drift[..., i:] -= (fx_left[..., i] * s)[..., None] if values.ndim > 1 else fx_left[..., i] * s
+            term_drift[..., i:] -= (fx_left[..., i] * s)[..., None]
 
-    term_comp = -_compensator_term(chars, times, left, F, dt)
-
-    return {
+    terms = {
         "value": term_value,
         "time": term_time,
         "second_order": term_second,
         "drift": term_drift,
-        "compensator": term_comp,
+        "compensator": -_compensator_term(chars, times, left, F, dt, atom_idx),
     }
+    return sum(terms.values()), terms
+
+
+def _path_residual(
+    X: CadlagPath,
+    chars: CharacteristicsModel,
+    F: TestFunction,
+    mode: str,
+    schedule: EpsilonSchedule | None = None,
+    forward_converged: bool = True,
+) -> ResidualPath:
+    """Per-path residual: row 0 of the batch-of-one kernel call."""
+    values, terms = _residual_rows(
+        chars, X.grid, X.values[None], X.left_values()[None],
+        chars.bk_values(X)[None], F, mode, schedule,
+    )
+    return ResidualPath(
+        X.grid, values[0], {name: t[0] for name, t in terms.items()}, forward_converged
+    )
 
 
 def weak_dirichlet_residual(
@@ -314,48 +336,21 @@ def weak_dirichlet_residual(
     Terms, in order: F(t, X_t) - F(0, X_0); minus the time-derivative
     integral; minus half the second-derivative integral against
     dC + d[drift, drift]^c; minus the forward drift integral (exact Riemann
-    when the drift characteristic is linear in t, eps-regularized when it is
-    path dependent); minus the compensated-jump correction.
+    when the drift characteristic is finite variation, eps-regularized when it
+    is path dependent); minus the compensated-jump correction.
+    ``forward_converged`` reports the forward integral's convergence over the
+    full schedule for a path-dependent drift.
     """
     chars = _as_chars(model, k)
-    grid = X.grid
     if schedule is None:
-        schedule = default_schedule(grid)
-    bk_cont, atom_idx, atom_sizes = _drift_arrays(chars, X)
-    left = X.left_values()
-    fx_right = F.fx(grid.times(), X.values)
-
+        schedule = default_schedule(X.grid)
     forward_converged = True
     if chars.drift_path_fn is not None:
-        m = schedule.multiples[-1]
-        bk_path = chars.bk_path(X)
-        fwd = forward_integral_limit(
-            CadlagPath(grid, fx_right), bk_path, schedule
-        )
-        forward_converged = fwd.converged
-        # continuous drift bracket at the same eps as the forward integral:
-        # the two discretization biases cancel inside the residual
-        bk_qv_inc = np.diff(_qv_eps(bk_cont, m))
-        eps_multiple = m
-    else:
-        bk_qv_inc = None
-        eps_multiple = None
-
-    terms = _residual_terms(
-        chars,
-        grid,
-        X.values,
-        left,
-        bk_cont,
-        atom_idx,
-        atom_sizes,
-        F,
-        fx_right,
-        bk_qv_inc,
-        eps_multiple,
-    )
-    values = sum(terms.values())
-    return ResidualPath(grid, values, terms, forward_converged)
+        fx_right = CadlagPath(X.grid, F.fx(X.grid.times(), X.values))
+        forward_converged = forward_integral_limit(
+            fx_right, chars.bk_path(X), schedule
+        ).converged
+    return _path_residual(X, chars, F, "weak_dirichlet", schedule, forward_converged)
 
 
 def semimartingale_residual(
@@ -367,22 +362,7 @@ def semimartingale_residual(
     """Classical expansion residual: finite-variation drift characteristic,
     Stieltjes drift integral with left-limit integrand, no drift-bracket term.
     """
-    chars = _as_chars(model, k)
-    if not chars.bk_finite_variation:
-        raise ValueError(
-            "classical residual needs a finite-variation drift characteristic; "
-            "use weak_dirichlet_residual for path-dependent drift"
-        )
-    grid = X.grid
-    bk_cont, atom_idx, atom_sizes = _drift_arrays(chars, X)
-    left = X.left_values()
-    fx_left = F.fx(grid.times(), left)
-    terms = _residual_terms(
-        chars, grid, X.values, left, bk_cont, atom_idx, atom_sizes,
-        F, fx_left, None, None,
-    )
-    values = sum(terms.values())
-    return ResidualPath(grid, values, terms, True)
+    return _path_residual(X, _as_chars(model, k), F, "semimartingale")
 
 
 # ---------------------------------------------------------------------------
@@ -426,26 +406,21 @@ def residual_ensemble(
     inject_drift: float = 0.0,
 ) -> ResidualEnsemble:
     """Residual samples over an ensemble, batched; bit-identical across
-    batch sizes (per-path substreams, single final reduction).
+    batch sizes (per-path substreams, single final reduction).  Each batch
+    goes through the same kernel as the per-path residuals, so every sample
+    equals the matching per-path residual bit for bit.
 
     ``inject_drift`` adds a deliberate linear drift to every residual and is
     the negative control for the martingale tests.
     """
     chars = _as_chars(model, k)
-    if mode == "semimartingale" and not chars.bk_finite_variation:
-        raise ValueError("semimartingale mode needs finite-variation drift")
-    if schedule is None:
-        schedule = default_schedule(grid)
     probe_times, _ = _probe_plan(times)
-    t_idx = {t: grid.index_of(t) for t in times}
     s_idx = {s: grid.index_of(s) for s in probe_times}
     # residual increments need M at probe times too
-    m_times = sorted(set(times) | set(probe_times))
-    m_idx = {t: grid.index_of(t) for t in m_times}
+    m_idx = {t: grid.index_of(t) for t in sorted(set(times) | set(probe_times))}
 
-    res_at = {t: np.empty(n_paths) for t in m_times}
+    res_at = {t: np.empty(n_paths) for t in m_idx}
     path_at = {s: np.empty(n_paths) for s in probe_times}
-    time_nodes = grid.times()
 
     start = 0
     while start < n_paths:
@@ -455,32 +430,10 @@ def residual_ensemble(
         bks = np.empty_like(vals)
         for j, i in enumerate(range(start, stop)):
             p = simulate_path(model, grid, SeedSpec(master_seed, i))
-            vals[j] = p.values
-            lv = p.values.copy()
-            if p.jump_indices.size:
-                lv[p.jump_indices] -= p.jump_sizes
-            lefts[j] = lv
-            bks[j] = chars.bk_values(p)
-        if mode == "weak_dirichlet":
-            integrand = F.fx(time_nodes, vals)
-            if chars.drift_path_fn is not None:
-                m = schedule.multiples[-1]
-                qv = _qv_eps(bks, m)
-                bk_qv_inc = np.diff(qv, axis=-1)
-                eps_multiple = m
-            else:
-                bk_qv_inc, eps_multiple = None, None
-        else:
-            integrand = F.fx(time_nodes, lefts)
-            bk_qv_inc, eps_multiple = None, None
-        terms = _residual_terms(
-            chars, grid, vals, lefts, bks,
-            np.empty(0, np.int64), np.empty(0),
-            F, integrand, bk_qv_inc, eps_multiple,
-        )
-        values = sum(terms.values())
+            vals[j], lefts[j], bks[j] = p.values, p.left_values(), chars.bk_values(p)
+        values, _ = _residual_rows(chars, grid, vals, lefts, bks, F, mode, schedule)
         if inject_drift:
-            values = values + inject_drift * time_nodes
+            values = values + inject_drift * grid.times()
         for t, i in m_idx.items():
             res_at[t][start:stop] = values[:, i]
         for s, i in s_idx.items():
@@ -499,32 +452,9 @@ def residual_ensemble(
             "function": F.name,
             "mode": mode,
             "master_seed": master_seed,
-            "quadrature_nodes": 40,
+            "quadrature_nodes": _QUAD_NODES,
             "grid": {"T": grid.T, "n_steps": grid.n_steps},
         },
-    )
-
-
-def ensemble_from_residual_paths(
-    residuals: Sequence[ResidualPath],
-    paths: Sequence[CadlagPath],
-    times: Sequence[float],
-) -> ResidualEnsemble:
-    """Builds the compact ensemble view from per-path residual objects."""
-    probe_times, _ = _probe_plan(times)
-    m_times = sorted(set(times) | set(probe_times))
-    res_at = {
-        t: np.array([r.at(t) for r in residuals]) for t in m_times
-    }
-    path_at = {
-        s: np.array([p.eval(s) for p in paths]) for s in probe_times
-    }
-    return ResidualEnsemble(
-        times=tuple(times),
-        probe_times=probe_times,
-        residual_at=res_at,
-        path_at=path_at,
-        n_paths=len(residuals),
     )
 
 
@@ -583,26 +513,18 @@ def _zstat(samples: np.ndarray) -> tuple[float, float, float]:
 
 
 def martingale_mean_test(
-    residuals: ResidualEnsemble | Sequence[ResidualPath],
+    residuals: ResidualEnsemble,
     times: Sequence[float] | None = None,
     alpha_se: float = 3.0,
-    paths: Sequence[CadlagPath] | None = None,
 ) -> MartingaleTestReport:
-    """Per-time z-scores of ensemble residual means, plus orthogonality
+    """Per-time z-scores of the ensemble's residual means, plus orthogonality
     statistics E[(M_t - M_s) g(path values at earlier times)] for
     g in {1, tanh(X_s), sin(X_{s1}) sin(X_{s2})}; a statistic passes when
-    |z| <= alpha_se.
+    |z| <= alpha_se.  ``times`` defaults to the ensemble's test times.
     """
-    if isinstance(residuals, ResidualEnsemble):
-        ens = residuals
-        if times is None:
-            times = ens.times
-    else:
-        if times is None:
-            raise ValueError("times are required with raw residual paths")
-        if paths is None:
-            raise ValueError("orthogonality functionals need the path samples")
-        ens = ensemble_from_residual_paths(residuals, paths, times)
+    ens = residuals
+    if times is None:
+        times = ens.times
     if ens.n_paths < 1:
         raise ValueError("empty ensemble")
 

@@ -40,6 +40,39 @@ class TestConfigHandling:
         assert code == 2
 
 
+class TestBadInput:
+    """Inputs that only fail against the grid or model exit 2 and write nothing."""
+
+    GRID = {"horizon": 1.0, "steps": 100}
+    BM = {"kind": "brownian", "sigma": 1.0}
+
+    def check_rejected(self, tmp_path, command, cfg, capsys):
+        code, out = run(tmp_path, command, cfg)
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_semimartingale_mode_with_fbm_exits_2(self, tmp_path, capsys):
+        cfg = {"grid": self.GRID, "paths": 10, "mode": "semimartingale",
+               "model": {"kind": "composite", "components": [
+                   self.BM, {"kind": "fbm", "hurst": 0.7, "scale": 0.5}]}}
+        self.check_rejected(tmp_path, "residual", cfg, capsys)
+
+    def test_residual_time_beyond_horizon_exits_2(self, tmp_path, capsys):
+        cfg = {"grid": self.GRID, "paths": 10, "model": self.BM, "times": [2.0]}
+        self.check_rejected(tmp_path, "residual", cfg, capsys)
+
+    @pytest.mark.parametrize("command", ["qv", "fwdint", "decompose"])
+    def test_eps_schedule_beyond_horizon_exits_2(self, tmp_path, capsys, command):
+        cfg = {"grid": self.GRID, "model": self.BM, "eps_multiples": [200, 100]}
+        self.check_rejected(tmp_path, command, cfg, capsys)
+
+    def test_sweep_schedule_too_coarse_for_a_grid_exits_2(self, tmp_path, capsys):
+        cfg = {"grid": self.GRID, "model": self.BM,
+               "sweep": {"steps_list": [400, 100], "eps_multiples": [200, 100]}}
+        self.check_rejected(tmp_path, "sweep", cfg, capsys)
+
+
 class TestQv:
     def test_heaviside_fixture_converges_to_one(self, tmp_path):
         cfg = {

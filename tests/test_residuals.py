@@ -3,6 +3,8 @@ import pytest
 
 from dirichlet_reg import (
     BrownianMotion,
+    CadlagPath,
+    CharacteristicsModel,
     Composite,
     CompoundPoisson,
     DeterministicDrift,
@@ -34,6 +36,28 @@ from dirichlet_reg import (
 
 STD = standard_truncation()
 ALL_FUNCTIONS = [exp_tanh(), damped_sine(), bump()]
+
+FAMILIES = {
+    "brownian": BrownianMotion(1.0),
+    "fbm": FractionalBrownianMotion(0.7, 0.5),
+    "compound_poisson": CompoundPoisson(2.0, GaussianJumps(0.1, 0.3)),
+    "jump_diffusion": LevyJumpDiffusion(0.3, 1.0, 2.0, UniformJumps(-0.8, 1.6)),
+    "drift": DeterministicDrift(lambda t: np.sin(3.0 * t) + t**2),
+    "composite": Composite(
+        (
+            BrownianMotion(1.0),
+            FractionalBrownianMotion(0.7, 0.5),
+            CompoundPoisson(1.0, DiscreteAtoms((0.5, -0.5), (0.5, 0.5))),
+        )
+    ),
+}
+ROUGH = {"fbm", "composite"}  # path-dependent drift: weak_dirichlet form only
+FAMILY_MODES = [
+    (name, mode)
+    for name in FAMILIES
+    for mode in ("weak_dirichlet", "semimartingale")
+    if mode == "weak_dirichlet" or name not in ROUGH
+]
 
 
 class TestTestFunctions:
@@ -159,6 +183,22 @@ class TestResidualConstruction:
         with pytest.raises(ValueError):
             semimartingale_residual(X, model, STD, exp_tanh())
 
+    @pytest.mark.parametrize("form", [weak_dirichlet_residual, semimartingale_residual],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("x_a", [0.5, 2.0])
+    def test_fixed_atom_step_path_residual_vanishes(self, form, x_a):
+        # one atom of weight 1 at s = 0.5 and a path that jumps by x_a there:
+        # the drift and compensator atom terms cancel F's jump exactly,
+        # inside (0.5) and outside (2.0) the truncation cutoff
+        grid = TimeGrid(1.0, 200)
+        i = grid.index_of(0.5)
+        X = CadlagPath.from_jumps(
+            grid, np.where(np.arange(grid.n_nodes) >= i, x_a, 0.0), [(i, x_a)]
+        )
+        chars = CharacteristicsModel(truncation=STD, fixed_atoms=((0.5, ((x_a, 1.0),)),))
+        r = form(X, chars, STD, bump())
+        assert np.max(np.abs(r.values)) == 0.0
+
 
 class TestMartingaleMeanTest:
     def _ensemble(self, residual_fn, n=200):
@@ -210,15 +250,21 @@ class TestEnsembleRunner:
         for t in a.residual_at:
             assert np.array_equal(a.residual_at[t], b.residual_at[t])
 
-    def test_matches_per_path_residuals(self):
+    @pytest.mark.parametrize("family,mode", FAMILY_MODES)
+    def test_matches_per_path_residuals(self, family, mode):
+        # both go through one kernel: the ensemble rows are the per-path
+        # residuals bit for bit, at test and probe times alike
         grid = TimeGrid(1.0, 256)
-        model = CompoundPoisson(2.0, GaussianJumps(0.1, 0.3))
-        ens = residual_ensemble(model, grid, STD, exp_tanh(), 11, 5)
+        model = FAMILIES[family]
+        residual = weak_dirichlet_residual if mode == "weak_dirichlet" else semimartingale_residual
+        ens = residual_ensemble(model, grid, STD, exp_tanh(), 11, 5, mode=mode, batch_size=3)
         for i in range(5):
             X = simulate_path(model, grid, SeedSpec(11, i))
-            r = weak_dirichlet_residual(X, model, STD, exp_tanh())
-            for t in ens.times:
-                assert ens.residual_at[t][i] == pytest.approx(r.at(t), abs=1e-12)
+            r = residual(X, model, STD, exp_tanh())
+            for t in ens.residual_at:
+                assert ens.residual_at[t][i] == r.at(t)
+            for s in ens.path_at:
+                assert ens.path_at[s][i] == X.eval(s)
 
     def test_brownian_ensemble_passes(self):
         grid = TimeGrid(1.0, 256)
