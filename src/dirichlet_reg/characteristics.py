@@ -379,13 +379,17 @@ def drift_jump(
     return total
 
 
-def _atom_square_trajectory(chars: CharacteristicsModel, grid: TimeGrid) -> np.ndarray:
-    out = np.zeros(grid.n_nodes)
+def _drift_bracket_terms(X, decomposition, model, k, schedule):
+    """Right side of the drift-bracket identity with the two estimates it uses."""
+    chars = _as_chars(model, k)
+    qv_x = qv_decompose(X, schedule)
+    qv_xc = covariation_limit(decomposition.continuous, decomposition.continuous, schedule)
+    atom_squares = np.zeros(X.grid.n_nodes)
     if chars.fixed_atoms:
-        idx, vals = chars.atom_k_integrals(grid)
-        np.add.at(out, idx, vals**2)
-        np.cumsum(out, out=out)
-    return out
+        idx, vals = chars.atom_k_integrals(X.grid)
+        np.add.at(atom_squares, idx, vals**2)
+        np.cumsum(atom_squares, out=atom_squares)
+    return qv_x.continuous - qv_xc.limit + atom_squares, qv_x, qv_xc
 
 
 def drift_bracket_rhs(
@@ -399,10 +403,7 @@ def drift_bracket_rhs(
 
         [X, X]^c - [X^c, X^c] + sum over s <= t of (integral of k d nu({s}))^2.
     """
-    chars = _as_chars(model, k)
-    qv_x = qv_decompose(X, schedule)
-    qv_xc = covariation_limit(decomposition.continuous, decomposition.continuous, schedule)
-    return qv_x.continuous - qv_xc.limit + _atom_square_trajectory(chars, X.grid)
+    return _drift_bracket_terms(X, decomposition, model, k, schedule)[0]
 
 
 def drift_bracket_check(
@@ -413,10 +414,7 @@ def drift_bracket_check(
     schedule: EpsilonSchedule,
 ) -> IdentityReport:
     """Compares [drift, drift] against the right side above, in sup norm."""
-    chars = _as_chars(model, k)
-    qv_x = qv_decompose(X, schedule)
-    qv_xc = covariation_limit(decomposition.continuous, decomposition.continuous, schedule)
-    rhs = qv_x.continuous - qv_xc.limit + _atom_square_trajectory(chars, X.grid)
+    rhs, qv_x, qv_xc = _drift_bracket_terms(X, decomposition, model, k, schedule)
     lhs = covariation_limit(decomposition.drift, decomposition.drift, schedule)
     sup = float(np.max(np.abs(lhs.limit - rhs)))
     return IdentityReport(

@@ -16,7 +16,6 @@ Exit codes: 0 pass, 2 configuration error, 3 estimator non-convergence,
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import hashlib
 import json
@@ -37,7 +36,7 @@ from .characteristics import (
     smooth_clip_truncation,
     standard_truncation,
 )
-from .paths import CadlagPath, GridAlignmentError, TimeGrid
+from .paths import CadlagPath, GridAlignmentError, TimeGrid, _write_csv
 from .regularize import (
     CovariationEstimate,
     EpsilonSchedule,
@@ -117,21 +116,12 @@ def load_config(path: str) -> dict:
 def resolve_config(raw: dict, args: argparse.Namespace) -> dict:
     cfg = dict(_DEFAULTS)
     cfg.update(raw)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.paths is not None:
-        cfg["paths"] = args.paths
-    if args.steps is not None:
-        cfg.setdefault("grid", {})
-        cfg["grid"] = dict(cfg["grid"], steps=args.steps)
-    if args.horizon is not None:
-        cfg["grid"] = dict(cfg["grid"], horizon=args.horizon)
-    if args.function is not None:
-        cfg["function"] = args.function
-    if args.alpha_se is not None:
-        cfg["alpha_se"] = args.alpha_se
-    if args.batch_size is not None:
-        cfg["batch_size"] = args.batch_size
+    for key in ("seed", "paths", "function", "alpha_se", "batch_size"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    for key in ("steps", "horizon"):
+        if getattr(args, key) is not None:
+            cfg["grid"] = dict(cfg["grid"], **{key: getattr(args, key)})
     out = args.out or cfg.get("out") or os.environ.get("DIRICHLET_REG_OUT") or "runs"
     cfg["out"] = str(out)
     try:
@@ -153,6 +143,14 @@ def _build_law(spec: dict):
 
 
 def _build_model(spec: dict):
+    """The model of a config's ``model`` section; bad parameters are config errors."""
+    try:
+        return _model_from_spec(spec)
+    except ValueError as exc:
+        raise ConfigError(f"bad model: {exc}") from exc
+
+
+def _model_from_spec(spec: dict):
     kind = spec["kind"]
     if kind == "brownian":
         return BrownianMotion(spec.get("sigma", 1.0))
@@ -168,7 +166,7 @@ def _build_model(spec: dict):
         coeffs = tuple(spec["coeffs"])
         return DeterministicDrift(lambda t, c=coeffs: np.polynomial.polynomial.polyval(t, c))
     if kind == "composite":
-        return Composite(tuple(_build_model(c) for c in spec["components"]))
+        return Composite(tuple(_model_from_spec(c) for c in spec["components"]))
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -205,9 +203,12 @@ def _source_path(cfg: dict, grid: TimeGrid) -> CadlagPath:
         return simulate_path(_build_model(cfg["model"]), grid, SeedSpec(cfg["seed"], 0))
     if kind == "csv":
         try:
-            return CadlagPath.from_csv(src["file"])
+            X = CadlagPath.from_csv(src["file"])
         except (OSError, KeyError, IndexError, ValueError) as exc:
             raise ConfigError(f"cannot load path csv: {exc}") from exc
+        if X.grid != grid:
+            raise ConfigError(f"path csv {src['file']} lies on {X.grid}, the config on {grid}")
+        return X
     if kind == "fixture":
         name = src.get("name")
         if name == "heaviside":
@@ -234,18 +235,10 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _write_long_csv(path: Path, grid: TimeGrid, est: CovariationEstimate) -> None:
-    times = grid.times()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "eps", "value"])
-        for eps, traj in zip(est.eps_values, est.trajectories):
-            for t, v in zip(times, traj):
-                w.writerow([_fmt(t), _fmt(eps), _fmt(v)])
+def _long_columns(grid: TimeGrid, est: CovariationEstimate):
+    """``t, eps, value`` columns: one block of grid rows per eps of the estimate."""
+    return (np.tile(grid.times(), len(est.eps_values)),
+            np.repeat(est.eps_values, grid.n_nodes), est.trajectories.ravel())
 
 
 def _hash_file(path: str) -> str:
@@ -270,12 +263,11 @@ def _write_manifest(outdir: Path, cfg: dict, command: str, verdicts: dict,
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each writes its result files and returns
+# (exit code, manifest verdicts, input files to hash)
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg: dict, outdir: Path) -> int:
-    if "model" not in cfg:
-        raise ConfigError("simulate needs a model")
+def cmd_simulate(cfg: dict, outdir: Path):
     grid = _build_grid(cfg)
     model = _build_model(cfg["model"])
     n = cfg["paths"]
@@ -289,14 +281,13 @@ def cmd_simulate(cfg: dict, outdir: Path) -> int:
         "final_value_mean": float(np.mean(finals)),
         "final_value_variance": float(np.var(finals)) if n > 1 else 0.0,
     }
-    _write_manifest(outdir, cfg, "simulate", verdicts, [])
-    return EXIT_OK
+    return EXIT_OK, verdicts, []
 
 
-def _estimator_command(cfg: dict, outdir: Path, command: str) -> int:
+def _estimator_command(cfg: dict, outdir: Path, command: str):
     grid = _build_grid(cfg)
     X = _source_path(cfg, grid)
-    schedule = _schedule(cfg["eps_multiples"], X.grid)
+    schedule = _schedule(cfg["eps_multiples"], grid)
     if command == "qv":
         est = covariation_limit(X, X, schedule)
     else:
@@ -308,7 +299,7 @@ def _estimator_command(cfg: dict, outdir: Path, command: str) -> int:
         else:
             Y = CadlagPath(grid, grid.times())
         est = forward_integral_limit(Y, X, schedule)
-    _write_long_csv(outdir / f"{command}.csv", grid, est)
+    _write_csv(outdir / f"{command}.csv", ["t", "eps", "value"], *_long_columns(grid, est))
     summary = {
         "limit_sup_error": est.error_estimate,
         "converged": bool(est.converged),
@@ -316,13 +307,10 @@ def _estimator_command(cfg: dict, outdir: Path, command: str) -> int:
     }
     _write_json(outdir / f"{command}_summary.json", summary)
     input_files = [cfg["source"]["file"]] if cfg["source"]["kind"] == "csv" else []
-    _write_manifest(outdir, cfg, command, summary, input_files)
-    return EXIT_OK if est.converged else EXIT_NONCONVERGED
+    return (EXIT_OK if est.converged else EXIT_NONCONVERGED), summary, input_files
 
 
-def cmd_residual(cfg: dict, outdir: Path) -> int:
-    if "model" not in cfg:
-        raise ConfigError("residual needs a model")
+def cmd_residual(cfg: dict, outdir: Path):
     grid = _build_grid(cfg)
     model = _build_model(cfg["model"])
     k = _truncation(cfg)
@@ -349,31 +337,22 @@ def cmd_residual(cfg: dict, outdir: Path) -> int:
     payload = report.to_dict()
     payload["quadrature_nodes"] = _QUAD_NODES
     _write_json(outdir / "residual_report.json", payload)
-    _write_manifest(outdir, cfg, "residual", {"pass": report.passed}, [])
-    return EXIT_OK if report.passed else EXIT_STATFAIL
+    return (EXIT_OK if report.passed else EXIT_STATFAIL), {"pass": report.passed}, []
 
 
-def cmd_decompose(cfg: dict, outdir: Path) -> int:
-    if "model" not in cfg:
-        raise ConfigError("decompose needs a model")
+def cmd_decompose(cfg: dict, outdir: Path):
     grid = _build_grid(cfg)
     model = _build_model(cfg["model"])
     k = _truncation(cfg)
     schedule = _schedule(cfg["eps_multiples"], grid)
     X = simulate_path(model, grid, SeedSpec(cfg["seed"], 0))
     dec = decompose(X, model, k)
-    times = grid.times()
-    with open(outdir / "decomposition.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x", "continuous", "compensated_jumps", "drift", "large_jumps"])
-        for i, t in enumerate(times):
-            w.writerow([
-                _fmt(t), _fmt(X.values[i]),
-                _fmt(dec.continuous.values[i]),
-                _fmt(dec.compensated_jumps.values[i]),
-                _fmt(dec.drift.values[i]),
-                _fmt(dec.large_jumps.values[i]),
-            ])
+    _write_csv(
+        outdir / "decomposition.csv",
+        ["t", "x", "continuous", "compensated_jumps", "drift", "large_jumps"],
+        grid.times(), X.values, dec.continuous.values, dec.compensated_jumps.values,
+        dec.drift.values, dec.large_jumps.values,
+    )
     tol = cfg["tolerance"]
     reports = {}
     nonconverged = False
@@ -389,30 +368,29 @@ def cmd_decompose(cfg: dict, outdir: Path) -> int:
             "pass": bool(rep.within(tol)),
         }
         nonconverged |= not rep.converged
+    ok = all(v["pass"] for v in reports.values())
     reports["reconstruction_error"] = dec.reconstruction_error
     _write_json(outdir / "identity_reports.json", reports)
-    _write_manifest(outdir, cfg, "decompose", reports, [])
-    if nonconverged:
-        return EXIT_NONCONVERGED
-    ok = all(v["pass"] for v in reports.values() if isinstance(v, dict))
-    return EXIT_OK if ok else EXIT_STATFAIL
+    code = EXIT_NONCONVERGED if nonconverged else EXIT_OK if ok else EXIT_STATFAIL
+    return code, reports, []
 
 
-def cmd_recover(cfg: dict, outdir: Path) -> int:
-    if "recover" not in cfg:
-        raise ConfigError("recover needs a recover section")
+def cmd_recover(cfg: dict, outdir: Path):
     rc = cfg["recover"]
     try:
         grid = ExponentGrid.from_csv(rc["psi_csv"])
     except (OSError, ValueError, IndexError) as exc:
         raise ConfigError(f"cannot load exponent csv: {exc}") from exc
-    rec = recover_triplet(
-        grid,
-        w=rc.get("w", 2.0),
-        x_max=rc.get("x_max", 4.0),
-        x_cells=rc.get("x_cells", 1024),
-        weight_guard=rc.get("weight_guard", 1e-3),
-    )
+    try:
+        rec = recover_triplet(
+            grid,
+            w=rc.get("w", 2.0),
+            x_max=rc.get("x_max", 4.0),
+            x_cells=rc.get("x_cells", 1024),
+            weight_guard=rc.get("weight_guard", 1e-3),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"cannot recover from {rc['psi_csv']}: {exc}") from exc
     payload = {
         "b": rec.b,
         "c": rec.c,
@@ -423,43 +401,35 @@ def cmd_recover(cfg: dict, outdir: Path) -> int:
         "unrecovered_cells": [float(x) for x in rec.unrecovered_cells],
     }
     _write_json(outdir / "recovered_triplet.json", payload)
-    _write_manifest(outdir, cfg, "recover", {"residual": rec.residual_sup}, [rc["psi_csv"]])
-    return EXIT_OK
+    return EXIT_OK, {"residual": rec.residual_sup}, [rc["psi_csv"]]
 
 
-def cmd_sweep(cfg: dict, outdir: Path) -> int:
-    if "sweep" not in cfg or "model" not in cfg:
-        raise ConfigError("sweep needs model and sweep sections")
+def cmd_sweep(cfg: dict, outdir: Path):
     sw = cfg["sweep"]
     eps_multiples = sw.get("eps_multiples", cfg["eps_multiples"])
     horizon = float(cfg["grid"]["horizon"])
     grids = [TimeGrid(horizon, int(steps)) for steps in sw["steps_list"]]
     schedules = [_schedule(eps_multiples, grid) for grid in grids]
-    rows = []
+    model = _build_model(cfg["model"])
+    blocks = []
     for grid, schedule in zip(grids, schedules):
-        X = simulate_path(_build_model(cfg["model"]), grid, SeedSpec(cfg["seed"], 0))
-        est = covariation_limit(X, X, schedule)
-        times = grid.times()
-        for eps, traj in zip(est.eps_values, est.trajectories):
-            for t, v in zip(times, traj):
-                rows.append((grid.dt, float(eps), float(t), float(v)))
-    with open(outdir / "sweep.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dt", "eps", "t", "value"])
-        for r in rows:
-            w.writerow([_fmt(c) for c in r])
-    _write_manifest(outdir, cfg, "sweep", {"rows": len(rows)}, [])
-    return EXIT_OK
+        X = simulate_path(model, grid, SeedSpec(cfg["seed"], 0))
+        t, eps, value = _long_columns(grid, covariation_limit(X, X, schedule))
+        blocks.append((np.full(t.size, grid.dt), eps, t, value))
+    dt, eps, t, value = (np.concatenate(c) for c in zip(*blocks))
+    _write_csv(outdir / "sweep.csv", ["dt", "eps", "t", "value"], dt, eps, t, value)
+    return EXIT_OK, {"rows": int(t.size)}, []
 
 
+# command -> (function, config sections it needs beyond ``grid``)
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "qv": lambda cfg, out: _estimator_command(cfg, out, "qv"),
-    "fwdint": lambda cfg, out: _estimator_command(cfg, out, "fwdint"),
-    "residual": cmd_residual,
-    "decompose": cmd_decompose,
-    "recover": cmd_recover,
-    "sweep": cmd_sweep,
+    "simulate": (cmd_simulate, ("model",)),
+    "qv": (lambda cfg, out: _estimator_command(cfg, out, "qv"), ()),
+    "fwdint": (lambda cfg, out: _estimator_command(cfg, out, "fwdint"), ()),
+    "residual": (cmd_residual, ("model",)),
+    "decompose": (cmd_decompose, ("model",)),
+    "recover": (cmd_recover, ("recover",)),
+    "sweep": (cmd_sweep, ("model", "sweep")),
 }
 
 
@@ -484,14 +454,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command, sections = _COMMANDS[args.command]
     try:
         cfg = resolve_config(load_config(args.config), args)
+        missing = [s for s in sections if s not in cfg]
+        if missing:
+            raise ConfigError(f"{args.command} needs the config section(s) {', '.join(missing)}")
         outdir = Path(cfg["out"])
         outdir.mkdir(parents=True, exist_ok=True)
-        code = _COMMANDS[args.command](cfg, outdir)
+        code, verdicts, input_files = command(cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    _write_manifest(outdir, cfg, args.command, verdicts, input_files)
     return code
 
 

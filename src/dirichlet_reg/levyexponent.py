@@ -22,13 +22,13 @@ representation (atoms exclude 0, gridded densities carry a one-cell hole).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
 from .characteristics import TruncationFunction, standard_truncation
+from .paths import _read_csv, _write_csv
 
 __all__ = [
     "WeightedAtoms",
@@ -215,21 +215,12 @@ class ExponentGrid:
         return re + 1j * im
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["u", "re", "im"])
-            for ui, pi in zip(self.u, self.psi):
-                w.writerow([f"{ui:.17g}", f"{pi.real:.17g}", f"{pi.imag:.17g}"])
+        _write_csv(path, ["u", "re", "im"], self.u, self.psi.real, self.psi.imag)
 
     @classmethod
     def from_csv(cls, path) -> "ExponentGrid":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if rows and rows[0][0] == "u":
-            rows = rows[1:]
-        u = np.array([float(r[0]) for r in rows])
-        psi = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
-        return cls(u, psi)
+        u, re, im = _read_csv(path, ["u", "re", "im"])
+        return cls(u, re + 1j * im)
 
 
 def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:

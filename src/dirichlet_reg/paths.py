@@ -182,30 +182,45 @@ class CadlagPath:
         return CadlagPath(self.grid, new_values)
 
     def to_csv(self, path) -> None:
-        """Write ``t,value,jump`` rows, 17 significant digits (exact round trip)."""
-        times = self.grid.times()
+        """Write ``t,value,jump`` rows (exact round trip, see ``_write_csv``)."""
         jumps = np.zeros(self.grid.n_nodes)
         if self.jump_indices.size:
             jumps[self.jump_indices] = self.jump_sizes
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "value", "jump"])
-            for t, v, j in zip(times, self.values, jumps):
-                w.writerow([f"{t:.17g}", f"{v:.17g}", f"{j:.17g}"])
+        _write_csv(path, ["t", "value", "jump"], self.grid.times(), self.values, jumps)
 
     @classmethod
     def from_csv(cls, path) -> "CadlagPath":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if rows and rows[0][:2] == ["t", "value"]:
-            rows = rows[1:]
-        times = np.array([float(r[0]) for r in rows])
-        values = np.array([float(r[1]) for r in rows])
-        jumps = np.array([float(r[2]) for r in rows])
+        """Read ``t,value,jump`` rows; the times must form a uniform grid."""
+        times, values, jumps = _read_csv(path, ["t", "value", "jump"])
         n = len(times) - 1
         grid = TimeGrid(T=float(times[-1]), n_steps=n)
+        if not np.max(np.abs(times - grid.times())) <= 1e-9 * grid.dt:
+            raise ValueError(f"times in {path} are not the uniform {n}-step grid on [0, {grid.T}]")
         idx = np.nonzero(jumps)[0]
         return cls(grid, values, idx.astype(np.int64), jumps[idx])
+
+
+def _write_csv(path, header: Sequence[str], *columns) -> None:
+    """Write equal-length numeric columns as CSV rows under ``header``, every
+    number with 17 significant digits (exact float64 round trip).  Rows are
+    formatted block by block, so memory does not grow with the file."""
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for i in range(0, columns[0].size, 4096):
+            block = zip(*(c[i:i + 4096].tolist() for c in columns))
+            w.writerows([f"{x:.17g}" for x in row] for row in block)
+
+
+def _read_csv(path, header: Sequence[str]) -> np.ndarray:
+    """The ``header`` columns of a CSV file as the contiguous rows of a float
+    array; a first row starting with ``header[0]`` is the header and is skipped."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if rows and rows[0][:1] == [header[0]]:
+        rows = rows[1:]
+    return np.array([[float(x) for x in r[: len(header)]] for r in rows]).T.copy()
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,64 @@ class TestBadInput:
         self.check_rejected(tmp_path, "sweep", cfg, capsys)
 
 
+    @pytest.mark.parametrize("command,section", [
+        ("simulate", "model"), ("residual", "model"), ("decompose", "model"),
+        ("sweep", "model"), ("sweep", "sweep"), ("recover", "recover"),
+    ])
+    def test_missing_section_exits_2(self, tmp_path, capsys, command, section):
+        cfg = {"grid": self.GRID, "model": self.BM, "sweep": {"steps_list": [100]},
+               "recover": {"psi_csv": str(tmp_path / "psi.csv")}}
+        del cfg[section]
+        self.check_rejected(tmp_path, command, cfg, capsys)
+
+    BAD_LAWS = {
+        "unnormalized": {"kind": "discrete", "values": [1.0, -1.0], "probabilities": [0.5, 0.6]},
+        "misaligned": {"kind": "discrete", "values": [1.0, -1.0], "probabilities": [1.0]},
+        "empty_uniform": {"kind": "uniform", "a": 1.0, "b": 1.0},
+    }
+
+    @pytest.mark.parametrize("command", ["simulate", "qv", "residual", "decompose", "sweep"])
+    @pytest.mark.parametrize("law", sorted(BAD_LAWS))
+    def test_bad_jump_law_exits_2(self, tmp_path, capsys, command, law):
+        cfg = {"grid": self.GRID, "sweep": {"steps_list": [100]},
+               "model": {"kind": "compound_poisson", "rate": 1.0, "law": self.BAD_LAWS[law]}}
+        self.check_rejected(tmp_path, command, cfg, capsys)
+
+    @pytest.mark.parametrize("rows,w", [(2048, 0.0), (256, 2.0), (2048, 39.9)],
+                             ids=["w_zero", "too_few_rows", "w_too_wide"])
+    def test_bad_recover_arguments_exit_2(self, tmp_path, capsys, rows, w):
+        lam = WeightedAtoms(np.array([0.5]), np.array([1.0]))
+        psi_csv = tmp_path / "psi.csv"
+        tri = Triplet1D(0.0, 0.0, lam, standard_truncation())
+        ExponentGrid.from_triplet(tri, u_max=40.0, m=rows).to_csv(psi_csv)
+        cfg = {"grid": self.GRID, "recover": {"psi_csv": str(psi_csv), "w": w}}
+        self.check_rejected(tmp_path, "recover", cfg, capsys)
+
+    @pytest.mark.parametrize("command,integrand,csv_grid", [
+        ("qv", "constant", (1.0, 3)),
+        ("qv", "constant", (2.0, 100)),
+        ("fwdint", "constant", (1.0, 3)),
+        ("fwdint", "time", (1.0, 3)),
+        ("fwdint", "identity", (1.0, 3)),
+    ], ids=["qv-steps", "qv-horizon", "fwdint-constant", "fwdint-time", "fwdint-identity"])
+    def test_csv_source_on_another_grid_exits_2(self, tmp_path, capsys, command, integrand,
+                                                 csv_grid):
+        from dirichlet_reg import TimeGrid, path_from_function
+
+        src = tmp_path / "p.csv"
+        path_from_function(TimeGrid(*csv_grid), np.sin).to_csv(src)
+        cfg = {"grid": self.GRID, "source": {"kind": "csv", "file": str(src)},
+               "integrand": integrand, "eps_multiples": [1]}
+        self.check_rejected(tmp_path, command, cfg, capsys)
+
+    def test_non_uniform_csv_times_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "p.csv"
+        src.write_text("t,value,jump\n0,0,0\n0.1,1,1\n0.5,2,1\n1.0,3,1\n")
+        cfg = {"grid": {"horizon": 1.0, "steps": 3},
+               "source": {"kind": "csv", "file": str(src)}, "eps_multiples": [1]}
+        self.check_rejected(tmp_path, "qv", cfg, capsys)
+
+
 class TestQv:
     def test_heaviside_fixture_converges_to_one(self, tmp_path):
         cfg = {

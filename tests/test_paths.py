@@ -192,3 +192,17 @@ class TestCsvRoundTrip:
         assert np.array_equal(q.values, p.values)
         assert np.array_equal(q.jump_indices, p.jump_indices)
         assert np.array_equal(q.jump_sizes, p.jump_sizes)
+
+    def test_rejects_non_uniform_times(self, tmp_path):
+        f = tmp_path / "path.csv"
+        f.write_text("t,value,jump\n0,0,0\n0.1,1,1\n0.5,2,1\n1.0,3,1\n")
+        with pytest.raises(ValueError, match="uniform"):
+            CadlagPath.from_csv(f)
+
+    def test_accepts_times_within_rounding_of_the_grid(self, tmp_path):
+        f = tmp_path / "path.csv"
+        rows = "".join(f"{i * 0.1!r},{i},0\n" for i in range(11))  # 0.30000000000000004 ...
+        f.write_text("t,value,jump\n" + rows)
+        q = CadlagPath.from_csv(f)
+        assert q.grid == TimeGrid(1.0, 10)
+        assert np.array_equal(q.values, np.arange(11.0))
