@@ -8,6 +8,7 @@ from .paths import (
     GridAlignmentError,
     GridMismatchError,
     JumpMeasure,
+    PathBatch,
     TimeGrid,
     combine,
     constant_path,
@@ -42,6 +43,7 @@ from .simulate import (
     SeedSpec,
     UniformJumps,
     law_expectation,
+    simulate_batch,
     simulate_ensemble,
     simulate_path,
 )

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .paths import CadlagPath, TimeGrid
+from .paths import CadlagPath, PathBatch, TimeGrid
 from .regularize import (
     EpsilonSchedule,
     IdentityReport,
@@ -161,8 +161,16 @@ class CharacteristicsModel:
             vals.append(total)
         return np.array(idx, dtype=np.int64), np.array(vals)
 
-    def bk_values(self, path: CadlagPath) -> np.ndarray:
-        """Drift characteristic sampled along the path's grid."""
+    def _atom_steps(self, grid: TimeGrid) -> np.ndarray:
+        """Jump of the drift characteristic at every node (the fixed atoms)."""
+        idx, vals = self.atom_k_integrals(grid)
+        steps = np.zeros(grid.n_nodes)
+        np.add.at(steps, idx, vals)
+        return steps
+
+    def bk_values(self, path: CadlagPath | PathBatch) -> np.ndarray:
+        """Drift characteristic sampled along the path's grid: one row per path
+        of a batch when it is path dependent, else one row for all."""
         grid = path.grid
         times = grid.times()
         out = self.drift_slope * times
@@ -171,29 +179,21 @@ class CharacteristicsModel:
         if self.drift_path_fn is not None:
             out = out + np.asarray(self.drift_path_fn(path), dtype=np.float64)
         if self.fixed_atoms:
-            idx, vals = self.atom_k_integrals(grid)
-            steps = np.zeros(grid.n_nodes)
-            np.add.at(steps, idx, vals)
-            out = out + np.cumsum(steps)
+            out = out + np.cumsum(self._atom_steps(grid))
         return out
 
     def bk_path(self, path: CadlagPath) -> CadlagPath:
-        values = self.bk_values(path)
-        if not self.fixed_atoms:
-            return CadlagPath(path.grid, values)
-        idx, vals = self.atom_k_integrals(path.grid)
-        keep = vals != 0.0
-        return CadlagPath.from_jumps(
-            path.grid, values, list(zip(idx[keep].tolist(), vals[keep].tolist()))
+        return CadlagPath.from_node_jumps(
+            path.grid, self.bk_values(path), self._atom_steps(path.grid)
         )
 
 
-def _fbm_sum_fn(names: Sequence[str]) -> Callable[[CadlagPath], np.ndarray]:
-    def path_fn(path: CadlagPath) -> np.ndarray:
+def _fbm_sum_fn(names: Sequence[str]) -> Callable[[CadlagPath | PathBatch], np.ndarray]:
+    def path_fn(path: CadlagPath | PathBatch) -> np.ndarray:
         if path.components is None:
             raise ComponentLogError(
                 "path-dependent drift characteristic needs component logs; "
-                "simulate_path attaches them"
+                "the simulators attach them"
             )
         missing = [n for n in names if n not in path.components]
         if missing:
@@ -330,24 +330,11 @@ def decompose(
     times = grid.times()
 
     kj = np.zeros(grid.n_nodes)
-    lj = np.zeros(grid.n_nodes)
-    k_sizes = np.asarray(chars.truncation(X.jump_sizes), dtype=np.float64)
-    large_sizes = X.jump_sizes - k_sizes
-    if X.jump_indices.size:
-        np.add.at(kj, X.jump_indices, k_sizes)
-        np.add.at(lj, X.jump_indices, large_sizes)
-    kj_cum = np.cumsum(kj)
-    lj_cum = np.cumsum(lj)
-
+    kj[X.jump_indices] = chars.truncation(X.jump_sizes)
+    lj = X.node_jumps() - kj
     lam_k = chars.compensator_k_rate()
-    mdk = CadlagPath.from_jumps(
-        grid,
-        kj_cum - lam_k * times,
-        list(zip(X.jump_indices.tolist(), k_sizes.tolist())),
-    )
-    large = CadlagPath.from_jumps(
-        grid, lj_cum, list(zip(X.jump_indices.tolist(), large_sizes.tolist()))
-    )
+    mdk = CadlagPath.from_node_jumps(grid, np.cumsum(kj) - lam_k * times, kj)
+    large = CadlagPath.from_node_jumps(grid, np.cumsum(lj), lj)
     bk = chars.bk_path(X)
     xc_values = X.values - (mdk.values + bk.values + large.values)
     xc = CadlagPath(grid, xc_values)
@@ -384,11 +371,7 @@ def _drift_bracket_terms(X, decomposition, model, k, schedule):
     chars = _as_chars(model, k)
     qv_x = qv_decompose(X, schedule)
     qv_xc = covariation_limit(decomposition.continuous, decomposition.continuous, schedule)
-    atom_squares = np.zeros(X.grid.n_nodes)
-    if chars.fixed_atoms:
-        idx, vals = chars.atom_k_integrals(X.grid)
-        np.add.at(atom_squares, idx, vals**2)
-        np.cumsum(atom_squares, out=atom_squares)
+    atom_squares = np.cumsum(chars._atom_steps(X.grid) ** 2)
     return qv_x.continuous - qv_xc.limit + atom_squares, qv_x, qv_xc
 
 

@@ -292,6 +292,11 @@ def recover_triplet(
         k = standard_truncation()
     if grid.u.size < 512:
         raise ValueError("recovery needs at least 512 exponent samples")
+    bw_lo, bw_hi = b_window
+    in_window = (np.abs(grid.u) >= bw_lo) & (np.abs(grid.u) <= bw_hi)
+    if not in_window.any():
+        raise ValueError(f"no psi sample with {bw_lo} <= |u| <= {bw_hi} for the drift "
+                         f"(u-spacing {grid.u[1] - grid.u[0]:.6g}); use a finer u-grid")
 
     admissible = np.abs(grid.u) <= grid.u_max - abs(w)
     u_sub = grid.u[admissible]
@@ -331,8 +336,6 @@ def recover_triplet(
     lam_density[mask] = dens[mask] / weight[mask]
     lam = GriddedDensity(xs, lam_density)
 
-    bw_lo, bw_hi = b_window
-    in_window = (np.abs(grid.u) >= bw_lo) & (np.abs(grid.u) <= bw_hi)
     u_b = grid.u[in_window]
     psi_b = grid.psi[in_window]
     dx = xs[1] - xs[0]

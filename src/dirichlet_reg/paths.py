@@ -19,6 +19,7 @@ __all__ = [
     "GridMismatchError",
     "TimeGrid",
     "CadlagPath",
+    "PathBatch",
     "JumpMeasure",
     "extract_jumps",
     "star_integral",
@@ -129,10 +130,13 @@ class CadlagPath:
         keep = sz != 0.0
         return cls(grid, np.asarray(values, np.float64), idx[keep], sz[keep])
 
-    def with_components(self, components: dict) -> "CadlagPath":
-        return CadlagPath(
-            self.grid, self.values, self.jump_indices, self.jump_sizes, components
-        )
+    @classmethod
+    def from_node_jumps(cls, grid: TimeGrid, values, node_jumps,
+                        components: dict | None = None) -> "CadlagPath":
+        """Path whose registry holds the nonzero entries of ``node_jumps``, the
+        jump at every node (zero where there is none)."""
+        idx = np.flatnonzero(node_jumps)
+        return cls(grid, values, idx, node_jumps[idx], components)
 
     def jump_at_index(self, i: int) -> float:
         pos = np.searchsorted(self.jump_indices, i)
@@ -140,12 +144,15 @@ class CadlagPath:
             return float(self.jump_sizes[pos])
         return 0.0
 
+    def node_jumps(self) -> np.ndarray:
+        """The jump at every node, zero where there is none."""
+        out = np.zeros(self.grid.n_nodes)
+        out[self.jump_indices] = self.jump_sizes
+        return out
+
     def left_values(self) -> np.ndarray:
         """Left limits X_{t_i-} at every node (X_{0-} := X_0)."""
-        left = self.values.copy()
-        if self.jump_indices.size:
-            left[self.jump_indices] -= self.jump_sizes
-        return left
+        return self.values - self.node_jumps()
 
     def eval(self, t: float, side: str = "right") -> float:
         """Value at grid time ``t``; ``side='left'`` gives the left limit."""
@@ -163,11 +170,7 @@ class CadlagPath:
 
     def squared_jump_trajectory(self) -> np.ndarray:
         """Cumulative sum of squared jumps, evaluated at every node."""
-        out = np.zeros(self.grid.n_nodes)
-        if self.jump_indices.size:
-            np.add.at(out, self.jump_indices, self.jump_sizes**2)
-            np.cumsum(out, out=out)
-        return out
+        return np.cumsum(self.node_jumps() ** 2)
 
     def map(self, f: Callable[[np.ndarray], np.ndarray]) -> "CadlagPath":
         """Image path f(X) with the induced jump registry (zero jumps dropped)."""
@@ -183,10 +186,8 @@ class CadlagPath:
 
     def to_csv(self, path) -> None:
         """Write ``t,value,jump`` rows (exact round trip, see ``_write_csv``)."""
-        jumps = np.zeros(self.grid.n_nodes)
-        if self.jump_indices.size:
-            jumps[self.jump_indices] = self.jump_sizes
-        _write_csv(path, ["t", "value", "jump"], self.grid.times(), self.values, jumps)
+        _write_csv(path, ["t", "value", "jump"],
+                   self.grid.times(), self.values, self.node_jumps())
 
     @classmethod
     def from_csv(cls, path) -> "CadlagPath":
@@ -196,8 +197,33 @@ class CadlagPath:
         grid = TimeGrid(T=float(times[-1]), n_steps=n)
         if not np.max(np.abs(times - grid.times())) <= 1e-9 * grid.dt:
             raise ValueError(f"times in {path} are not the uniform {n}-step grid on [0, {grid.T}]")
-        idx = np.nonzero(jumps)[0]
-        return cls(grid, values, idx.astype(np.int64), jumps[idx])
+        return cls.from_node_jumps(grid, values, jumps)
+
+
+@dataclass(frozen=True)
+class PathBatch:
+    """``B`` sampled cadlag paths on one grid as ``(B, n+1)`` rows.
+
+    ``values[j]`` holds path j's right values and ``jumps[j, i]`` its jump at
+    node i, zero where it has none.  ``components`` maps each component name
+    to its own batch.  Rows that carry no data may be read-only broadcast views.
+    """
+
+    grid: TimeGrid
+    values: np.ndarray
+    jumps: np.ndarray
+    components: dict | None = None
+
+    def left_values(self) -> np.ndarray:
+        """Left limits at every node, one row per path."""
+        return self.values - self.jumps
+
+    def path(self, j: int) -> CadlagPath:
+        """Row j as a ``CadlagPath``, with its components."""
+        parts = None if self.components is None else {
+            name: part.path(j) for name, part in self.components.items()
+        }
+        return CadlagPath.from_node_jumps(self.grid, self.values[j], self.jumps[j], parts)
 
 
 def _write_csv(path, header: Sequence[str], *columns) -> None:
@@ -269,13 +295,9 @@ def combine(a: float, X: CadlagPath, b: float, Y: CadlagPath) -> CadlagPath:
     """Linear combination a*X + b*Y; cancelled (zero) jumps are dropped."""
     if X.grid != Y.grid:
         raise GridMismatchError("paths live on different grids")
-    values = a * X.values + b * Y.values
-    jumps: dict[int, float] = {}
-    for i, s in zip(X.jump_indices, X.jump_sizes):
-        jumps[int(i)] = jumps.get(int(i), 0.0) + a * s
-    for i, s in zip(Y.jump_indices, Y.jump_sizes):
-        jumps[int(i)] = jumps.get(int(i), 0.0) + b * s
-    return CadlagPath.from_jumps(X.grid, values, jumps)
+    return CadlagPath.from_node_jumps(
+        X.grid, a * X.values + b * Y.values, a * X.node_jumps() + b * Y.node_jumps()
+    )
 
 
 def constant_path(grid: TimeGrid, value: float) -> CadlagPath:

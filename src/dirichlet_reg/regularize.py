@@ -86,6 +86,13 @@ def _check_eps(grid: TimeGrid, eps: float) -> int:
     return m
 
 
+def _cumsum0(x: np.ndarray) -> np.ndarray:
+    """Cumulative sum with a leading zero along the last axis."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum(x, axis=-1, out=out[..., 1:])
+    return out
+
+
 def _qv_eps(values: np.ndarray, m: int) -> np.ndarray:
     """Quadratic form trajectory for shift m, on all nodes; batch-friendly.
 
@@ -131,10 +138,7 @@ def covariation_eps(X: CadlagPath, Y: CadlagPath, eps: float) -> np.ndarray:
     """Trajectory t -> [X, Y]^eps(t) on every grid node."""
     if X.grid != Y.grid:
         raise GridMismatchError("paths live on different grids")
-    m = _check_eps(X.grid, eps)
-    if X is Y or (X.values is Y.values):
-        return _qv_eps(X.values, m)
-    return _cov_eps(X.values, Y.values, m)
+    return _cov_eps(X.values, Y.values, _check_eps(X.grid, eps))
 
 
 def forward_integral_eps(Y: CadlagPath, X: CadlagPath, eps: float) -> np.ndarray:
@@ -247,17 +251,6 @@ class IdentityReport:
         return self.precondition_ok and self.sup_distance <= tolerance
 
 
-def _shared_jump_product_trajectory(Y: CadlagPath, Z: CadlagPath) -> np.ndarray:
-    out = np.zeros(Y.grid.n_nodes)
-    shared, iy, iz = np.intersect1d(
-        Y.jump_indices, Z.jump_indices, return_indices=True
-    )
-    if shared.size:
-        np.add.at(out, shared, Y.jump_sizes[iy] * Z.jump_sizes[iz])
-        np.cumsum(out, out=out)
-    return out
-
-
 def pure_jump_covariation_check(
     Y: CadlagPath,
     Z: CadlagPath,
@@ -281,7 +274,7 @@ def pure_jump_covariation_check(
         f"continuous bracket of first path is {cont_sup:.3g}, above tolerance {tol:.3g}"
     )
     est = covariation_limit(Y, Z, schedule)
-    rhs = _shared_jump_product_trajectory(Y, Z)
+    rhs = np.cumsum(Y.node_jumps() * Z.node_jumps())
     sup = float(np.max(np.abs(est.limit - rhs)))
     return IdentityReport(
         name="pure-jump covariation",
@@ -293,13 +286,6 @@ def pure_jump_covariation_check(
         lhs=est.limit,
         rhs=rhs,
     )
-
-
-def _stieltjes_left(g_left: np.ndarray, integrator: np.ndarray) -> np.ndarray:
-    """Left-endpoint Stieltjes sums of g dA on the grid, cumulative."""
-    out = np.zeros_like(integrator)
-    out[1:] = np.cumsum(g_left[:-1] * np.diff(integrator))
-    return out
 
 
 def smooth_map_qv_check(
@@ -316,7 +302,7 @@ def smooth_map_qv_check(
     img = X.map(phi)
     lhs_est = covariation_limit(img, img, schedule)
     g = np.asarray(dphi(X.left_values()), dtype=np.float64) ** 2
-    rhs = _stieltjes_left(g, qv_x.continuous) + img.squared_jump_trajectory()
+    rhs = _cumsum0(g[:-1] * np.diff(qv_x.continuous)) + img.squared_jump_trajectory()
     sup = float(np.max(np.abs(lhs_est.limit - rhs)))
     return IdentityReport(
         name="C1 bracket stability",
@@ -342,14 +328,15 @@ def smooth_map_cross_check(
         int phi'(X1_s) psi'(X2_{s-}) d[X1,X2]^c_s + sum of phi/psi jump products.
     """
     cross = covariation_limit(X1, X2, schedule)
-    cross_jump = _shared_jump_product_trajectory(X1, X2)
+    cross_jump = np.cumsum(X1.node_jumps() * X2.node_jumps())
     cross_cont = cross.limit - cross_jump
     img1, img2 = X1.map(phi), X2.map(psi)
     lhs_est = covariation_limit(img1, img2, schedule)
     g = np.asarray(dphi(X1.values), np.float64) * np.asarray(
         dpsi(X2.left_values()), np.float64
     )
-    rhs = _stieltjes_left(g, cross_cont) + _shared_jump_product_trajectory(img1, img2)
+    img_jumps = np.cumsum(img1.node_jumps() * img2.node_jumps())
+    rhs = _cumsum0(g[:-1] * np.diff(cross_cont)) + img_jumps
     sup = float(np.max(np.abs(lhs_est.limit - rhs)))
     return IdentityReport(
         name="C1 cross-bracket stability",

@@ -33,10 +33,13 @@ from .regularize import (
     covariation_limit,
     default_schedule,
     forward_integral_limit,
+    _cumsum0,
     _fwd_eps,
     _qv_eps,
 )
-from .simulate import _QUAD_NODES, ModelSpec, SeedSpec, simulate_path, BrownianMotion
+from .simulate import (
+    _QUAD_NODES, BrownianMotion, ModelSpec, SeedSpec, simulate_batch, simulate_path,
+)
 
 __all__ = [
     "TestFunction",
@@ -182,13 +185,6 @@ class ResidualPath:
         return float(self.values[self.grid.index_of(t)])
 
 
-def _cumsum0(x: np.ndarray) -> np.ndarray:
-    """Cumulative sum with a leading zero along the last axis."""
-    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
-    np.cumsum(x, axis=-1, out=out[..., 1:])
-    return out
-
-
 def _compensator_term(
     chars: CharacteristicsModel,
     times: np.ndarray,
@@ -235,6 +231,14 @@ def _compensator_term(
     return out
 
 
+def _check_mode(chars: CharacteristicsModel, mode: str) -> None:
+    if mode not in ("weak_dirichlet", "semimartingale"):
+        raise ValueError(f"unknown residual mode {mode!r}")
+    if mode == "semimartingale" and not chars.bk_finite_variation:
+        raise ValueError("classical residual needs a finite-variation drift characteristic; "
+                         "use weak_dirichlet mode for path-dependent drift")
+
+
 def _residual_rows(
     chars: CharacteristicsModel,
     grid: TimeGrid,
@@ -248,8 +252,9 @@ def _residual_rows(
     """The one residual assembly: (B, n+1) rows of residual values and terms.
 
     ``values``, ``left`` and ``bk`` hold one path per row: right values, left
-    limits and the drift characteristic (``CharacteristicsModel.bk_values``).
-    The mode picks the drift integrand: dF/dx at right values for
+    limits and the drift characteristic (``CharacteristicsModel.bk_values``; a
+    single row broadcasts over the batch).  The mode, checked by the callers
+    with ``_check_mode``, picks the drift integrand: dF/dx at right values for
     ``"weak_dirichlet"`` (forward-integral form), at left limits for
     ``"semimartingale"`` (classical Stieltjes form, finite-variation drift
     only).  A path-dependent drift is integrated by the eps-regularized forward
@@ -259,14 +264,6 @@ def _residual_rows(
     their k-jumps leave the continuous drift and enter the drift term with a
     left-limit integrand, and their jump correction enters the compensator.
     """
-    if mode == "semimartingale":
-        if not chars.bk_finite_variation:
-            raise ValueError(
-                "classical residual needs a finite-variation drift characteristic; "
-                "use weak_dirichlet mode for path-dependent drift"
-            )
-    elif mode != "weak_dirichlet":
-        raise ValueError(f"unknown residual mode {mode!r}")
     # a (1, n+1) row: against a batch of one, numpy runs the elementwise
     # loops faster than when it broadcasts a 1-D array
     times = grid.times()[None]
@@ -274,9 +271,7 @@ def _residual_rows(
 
     atom_idx, atom_sizes = chars.atom_k_integrals(grid)
     if atom_idx.size:
-        steps = np.zeros(grid.n_nodes)
-        np.add.at(steps, atom_idx, atom_sizes)
-        bk = bk - np.cumsum(steps)
+        bk = bk - np.cumsum(chars._atom_steps(grid))
 
     fv = F.f(times, values)
     term_value = fv - fv[..., :1]
@@ -315,6 +310,7 @@ def _path_residual(
     forward_converged: bool = True,
 ) -> ResidualPath:
     """Per-path residual: row 0 of the batch-of-one kernel call."""
+    _check_mode(chars, mode)
     values, terms = _residual_rows(
         chars, X.grid, X.values[None], X.left_values()[None],
         chars.bk_values(X)[None], F, mode, schedule,
@@ -414,6 +410,9 @@ def residual_ensemble(
     the negative control for the martingale tests.
     """
     chars = _as_chars(model, k)
+    _check_mode(chars, mode)
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
     probe_times, _ = _probe_plan(times)
     s_idx = {s: grid.index_of(s) for s in probe_times}
     # residual increments need M at probe times too
@@ -422,23 +421,19 @@ def residual_ensemble(
     res_at = {t: np.empty(n_paths) for t in m_idx}
     path_at = {s: np.empty(n_paths) for s in probe_times}
 
-    start = 0
-    while start < n_paths:
+    for start in range(0, n_paths, batch_size):
         stop = min(start + batch_size, n_paths)
-        vals = np.empty((stop - start, grid.n_nodes))
-        lefts = np.empty_like(vals)
-        bks = np.empty_like(vals)
-        for j, i in enumerate(range(start, stop)):
-            p = simulate_path(model, grid, SeedSpec(master_seed, i))
-            vals[j], lefts[j], bks[j] = p.values, p.left_values(), chars.bk_values(p)
-        values, _ = _residual_rows(chars, grid, vals, lefts, bks, F, mode, schedule)
+        batch = simulate_batch(model, grid, master_seed, range(start, stop))
+        values, _ = _residual_rows(
+            chars, grid, batch.values, batch.left_values(), chars.bk_values(batch),
+            F, mode, schedule,
+        )
         if inject_drift:
             values = values + inject_drift * grid.times()
         for t, i in m_idx.items():
             res_at[t][start:stop] = values[:, i]
         for s, i in s_idx.items():
-            path_at[s][start:stop] = vals[:, i]
-        start = stop
+            path_at[s][start:stop] = batch.values[:, i]
 
     return ResidualEnsemble(
         times=tuple(times),

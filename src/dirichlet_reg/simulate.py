@@ -4,6 +4,7 @@ Reproducibility contract: path ``i`` of an ensemble is a pure function of
 ``(master_seed, i)`` via counter-based Philox substreams, independent of
 evaluation order or batching.  Within a path, component ``j`` draws from the
 substream ``jumped(j)``, so multi-component models have independent parts.
+``simulate_batch`` fills ``(B, n+1)`` rows; ``simulate_path`` is its batch of one.
 
 Jump times are snapped to the nearest grid node (collisions merged by summing
 sizes), which keeps left limits exact and estimators deterministic.
@@ -16,7 +17,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .paths import CadlagPath, TimeGrid
+from .paths import CadlagPath, PathBatch, TimeGrid
 
 __all__ = [
     "DiscreteAtoms",
@@ -32,6 +33,7 @@ __all__ = [
     "ModelSpec",
     "SeedSpec",
     "law_expectation",
+    "simulate_batch",
     "simulate_path",
     "simulate_ensemble",
 ]
@@ -207,23 +209,21 @@ class SeedSpec:
 
     def bit_generator(self, component: int = 0) -> np.random.BitGenerator:
         key = [self.master_seed & (2**64 - 1), self.path_index & (2**64 - 1)]
-        bg = np.random.Philox(key=key)
-        return bg.jumped(component) if component else bg
+        return np.random.Philox(key=key, counter=[0, 0, component, 0])
 
     def generator(self, component: int = 0) -> np.random.Generator:
         return np.random.Generator(self.bit_generator(component))
 
 
 # ---------------------------------------------------------------------------
-# Generators
+# Generators: each draws one path's component into zeroed rows
 # ---------------------------------------------------------------------------
 
-def _brownian_values(grid: TimeGrid, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    out = np.zeros(grid.n_nodes)
+def _brownian_values(grid: TimeGrid, sigma: float, rng: np.random.Generator,
+                     out: np.ndarray) -> None:
     if sigma > 0:
         inc = rng.standard_normal(grid.n_steps) * (sigma * np.sqrt(grid.dt))
         np.cumsum(inc, out=out[1:])
-    return out
 
 
 def _fgn_unit(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
@@ -250,18 +250,17 @@ def _fgn_unit(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
     return np.sqrt(2 * n) * np.fft.ifft(np.sqrt(eig) * z).real[:n]
 
 
-def _fbm_values(grid: TimeGrid, hurst: float, scale: float, rng: np.random.Generator) -> np.ndarray:
-    out = np.zeros(grid.n_nodes)
+def _fbm_values(grid: TimeGrid, hurst: float, scale: float, rng: np.random.Generator,
+                out: np.ndarray) -> None:
     if scale > 0:
         inc = _fgn_unit(grid.n_steps, hurst, rng) * (scale * grid.dt**hurst)
         np.cumsum(inc, out=out[1:])
-    return out
 
 
-def _compound_poisson(grid: TimeGrid, rate: float, law: JumpLaw,
-                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node jump sizes (dense) for one compound-Poisson draw."""
-    node_jumps = np.zeros(grid.n_nodes)
+def _compound_poisson(grid: TimeGrid, rate: float, law: JumpLaw, rng: np.random.Generator,
+                      out: np.ndarray, node_jumps: np.ndarray) -> None:
+    """One compound-Poisson draw: values into ``out``, per-node jump sizes
+    (collisions summed) into ``node_jumps``."""
     if rate > 0:
         count = rng.poisson(rate * grid.T)
         if count > 0:
@@ -269,14 +268,7 @@ def _compound_poisson(grid: TimeGrid, rate: float, law: JumpLaw,
             sizes = np.asarray(law.sample(rng, count), dtype=np.float64)
             idx = np.clip(np.rint(times / grid.dt).astype(np.int64), 1, grid.n_steps)
             np.add.at(node_jumps, idx, sizes)
-    values = np.cumsum(node_jumps)
-    return values, node_jumps
-
-
-def _path_from_node_jumps(grid: TimeGrid, values: np.ndarray, node_jumps: np.ndarray) -> CadlagPath:
-    idx = np.nonzero(node_jumps)[0]
-    idx = idx[idx >= 1]
-    return CadlagPath(grid, values, idx.astype(np.int64), node_jumps[idx])
+    np.cumsum(node_jumps, out=out)
 
 
 def _component_list(model: ModelSpec) -> list:
@@ -307,41 +299,54 @@ def _component_name(comp, taken: set[str]) -> str:
     return name
 
 
-def simulate_path(model: ModelSpec, grid: TimeGrid, seed: SeedSpec) -> CadlagPath:
-    """One trajectory, deterministic in (model, grid, seed).
+def simulate_batch(model: ModelSpec, grid: TimeGrid, master_seed: int, indices) -> PathBatch:
+    """Paths ``indices`` of the ``master_seed`` ensemble as ``(B, n+1)`` rows;
+    row j draws from the ``SeedSpec(master_seed, indices[j])`` substreams only.
 
-    The returned path carries a ``components`` dict with the per-component
-    trajectories (drift, diffusion, fractional and jump parts), which the
-    characteristics decomposition consumes.
+    ``components`` holds one batch per model component (drift, diffusion,
+    fractional and jump parts), which the characteristics decomposition reads.
     """
-    comps = _component_list(model)
-    parts: dict[str, CadlagPath] = {}
+    seeds = [SeedSpec(master_seed, int(i)) for i in indices]
+    shape = (len(seeds), grid.n_nodes)
+    no_jumps = np.broadcast_to(np.float64(0.0), shape)
+    values = np.zeros(shape)
+    parts: dict[str, PathBatch] = {}
     taken: set[str] = set()
-    values = np.zeros(grid.n_nodes)
-    node_jumps = np.zeros(grid.n_nodes)
     stream = 0
-    for comp in comps:
+    for comp in _component_list(model):
         name = _component_name(comp, taken)
+        part_jumps = no_jumps
         if isinstance(comp, DeterministicDrift):
             v = np.asarray(comp.f(grid.times()), dtype=np.float64)
-            part = CadlagPath(grid, v)
-        elif isinstance(comp, BrownianMotion):
-            part = CadlagPath(grid, _brownian_values(grid, comp.sigma, seed.generator(stream)))
+            if v.shape != (grid.n_nodes,):
+                raise ValueError(f"drift values must have shape ({grid.n_nodes},), got {v.shape}")
+            part_values = np.broadcast_to(v, shape)
+        else:
+            part_values = np.zeros(shape)
+            if isinstance(comp, CompoundPoisson):
+                part_jumps = np.zeros(shape)
+            for row, seed in enumerate(seeds):
+                rng = seed.generator(stream)
+                if isinstance(comp, BrownianMotion):
+                    _brownian_values(grid, comp.sigma, rng, part_values[row])
+                elif isinstance(comp, FractionalBrownianMotion):
+                    _fbm_values(grid, comp.hurst, comp.scale, rng, part_values[row])
+                else:
+                    _compound_poisson(grid, comp.rate, comp.law, rng,
+                                      part_values[row], part_jumps[row])
             stream += 1
-        elif isinstance(comp, FractionalBrownianMotion):
-            part = CadlagPath(grid, _fbm_values(grid, comp.hurst, comp.scale, seed.generator(stream)))
-            stream += 1
-        elif isinstance(comp, CompoundPoisson):
-            v, nj = _compound_poisson(grid, comp.rate, comp.law, seed.generator(stream))
-            stream += 1
-            part = _path_from_node_jumps(grid, v, nj)
-            node_jumps += nj
-        else:  # pragma: no cover - guarded by ModelSpec validation
-            raise TypeError(f"unknown component {type(comp).__name__}")
-        parts[name] = part
-        values = values + part.values
-    path = _path_from_node_jumps(grid, values, node_jumps)
-    return path.with_components(parts)
+        parts[name] = PathBatch(grid, part_values, part_jumps)
+        values += part_values
+    # 0 + x is x for every jump (never -0.0), so a lone jump part is shared
+    cp_jumps = [p.jumps for p in parts.values() if p.jumps is not no_jumps]
+    jumps = sum(cp_jumps[1:], cp_jumps[0]) if cp_jumps else no_jumps
+    return PathBatch(grid, values, jumps, parts)
+
+
+def simulate_path(model: ModelSpec, grid: TimeGrid, seed: SeedSpec) -> CadlagPath:
+    """One trajectory, deterministic in (model, grid, seed): the batch of one
+    of ``simulate_batch``, with its ``components`` dict of per-component paths."""
+    return simulate_batch(model, grid, seed.master_seed, [seed.path_index]).path(0)
 
 
 def simulate_ensemble(
@@ -350,6 +355,5 @@ def simulate_ensemble(
     """Independent paths; path i uses the (master_seed, i) substream."""
     if n_paths < 1:
         raise ValueError("need at least one path")
-    return [
-        simulate_path(model, grid, SeedSpec(master_seed, i)) for i in range(n_paths)
-    ]
+    batch = simulate_batch(model, grid, master_seed, range(n_paths))
+    return [batch.path(j) for j in range(n_paths)]

@@ -96,13 +96,14 @@ class TestBadInput:
                "model": {"kind": "compound_poisson", "rate": 1.0, "law": self.BAD_LAWS[law]}}
         self.check_rejected(tmp_path, command, cfg, capsys)
 
-    @pytest.mark.parametrize("rows,w", [(2048, 0.0), (256, 2.0), (2048, 39.9)],
-                             ids=["w_zero", "too_few_rows", "w_too_wide"])
-    def test_bad_recover_arguments_exit_2(self, tmp_path, capsys, rows, w):
+    @pytest.mark.parametrize("rows,w,u_max", [
+        (2048, 0.0, 40.0), (256, 2.0, 40.0), (2048, 39.9, 40.0), (512, 2.0, 4000.0),
+    ], ids=["w_zero", "too_few_rows", "w_too_wide", "no_u_in_drift_window"])
+    def test_bad_recover_arguments_exit_2(self, tmp_path, capsys, rows, w, u_max):
         lam = WeightedAtoms(np.array([0.5]), np.array([1.0]))
         psi_csv = tmp_path / "psi.csv"
         tri = Triplet1D(0.0, 0.0, lam, standard_truncation())
-        ExponentGrid.from_triplet(tri, u_max=40.0, m=rows).to_csv(psi_csv)
+        ExponentGrid.from_triplet(tri, u_max=u_max, m=rows).to_csv(psi_csv)
         cfg = {"grid": self.GRID, "recover": {"psi_csv": str(psi_csv), "w": w}}
         self.check_rejected(tmp_path, "recover", cfg, capsys)
 

@@ -169,6 +169,13 @@ class TestRecovery:
         with pytest.raises(ValueError):
             recover_triplet(g, w=2.0, k=STD)
 
+    def test_drift_window_without_samples_is_rejected(self):
+        # 512 samples on u_max = 4000 are 15.66 apart: none has 0.1 <= |u| <= 1
+        lam = WeightedAtoms(np.array([0.5]), np.array([1.0]))
+        grid = ExponentGrid.from_triplet(Triplet1D(0.3, 0.5, lam, STD), u_max=4000.0, m=512)
+        with pytest.raises(ValueError, match=r"0.1 <= \|u\| <= 1.0.*u-spacing 15.6"):
+            recover_triplet(grid)
+
     def test_forward_residual_reported(self):
         tri = Triplet1D(0.5, 1.0, gaussian_density_measure(), STD)
         g = ExponentGrid.from_triplet(tri, u_max=40.0, m=2048)

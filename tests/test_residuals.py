@@ -33,6 +33,7 @@ from dirichlet_reg import (
     time_homogeneous,
     weak_dirichlet_residual,
 )
+from dirichlet_reg import residuals
 
 STD = standard_truncation()
 ALL_FUNCTIONS = [exp_tanh(), damped_sine(), bump()]
@@ -265,6 +266,26 @@ class TestEnsembleRunner:
                 assert ens.residual_at[t][i] == r.at(t)
             for s in ens.path_at:
                 assert ens.path_at[s][i] == X.eval(s)
+
+    @pytest.mark.parametrize("family,mode,match", [
+        ("fbm", "semimartingale", "finite-variation"),
+        ("brownian", "classical", "unknown residual mode"),
+    ])
+    def test_bad_mode_is_rejected_before_any_path_is_simulated(self, monkeypatch, family, mode,
+                                                               match):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("paths simulated before the mode check")
+
+        monkeypatch.setattr(residuals, "simulate_batch", no_simulation)
+        with pytest.raises(ValueError, match=match):
+            residual_ensemble(FAMILIES[family], TimeGrid(1.0, 64), STD, exp_tanh(), 0, 10,
+                              mode=mode)
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_must_be_positive(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            residual_ensemble(BrownianMotion(1.0), TimeGrid(1.0, 64), STD, exp_tanh(), 0, 10,
+                              batch_size=batch_size)
 
     def test_brownian_ensemble_passes(self):
         grid = TimeGrid(1.0, 256)

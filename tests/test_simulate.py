@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirichlet_reg import (
     BrownianMotion,
@@ -14,10 +16,24 @@ from dirichlet_reg import (
     TimeGrid,
     UniformJumps,
     law_expectation,
+    simulate_batch,
     simulate_ensemble,
     simulate_path,
 )
 from dirichlet_reg.simulate import _fgn_unit
+
+FAMILIES = {
+    "brownian": BrownianMotion(1.0),
+    "fbm": FractionalBrownianMotion(0.7, 0.5),
+    "compound_poisson": CompoundPoisson(8.0, DiscreteAtoms((1.0, -1.0), (0.5, 0.5))),
+    "jump_diffusion": LevyJumpDiffusion(0.3, 1.0, 4.0, GaussianJumps(0.0, 0.4)),
+    "drift": DeterministicDrift(lambda t: -t),
+    "composite": Composite((
+        BrownianMotion(0.5), FractionalBrownianMotion(0.8, 0.3),
+        CompoundPoisson(6.0, UniformJumps(-0.4, 0.4)),
+        CompoundPoisson(3.0, GaussianJumps(1.0, 0.1)),
+    )),
+}
 
 
 class TestValidation:
@@ -77,11 +93,49 @@ class TestDeterminism:
         direct = simulate_path(model, grid, SeedSpec(11, 0))
         assert np.array_equal(only.values, direct.values)
 
+    @pytest.mark.parametrize("key", [(0, 0), (7, 123), (2**63, 5)])
+    @pytest.mark.parametrize("component", [0, 1, 2, 3, 5, 17])
+    def test_component_stream_is_the_jumped_philox_stream(self, key, component):
+        want = np.random.Philox(key=list(key)).jumped(component).random_raw(16)
+        got = SeedSpec(*key).bit_generator(component).random_raw(16)
+        assert np.array_equal(got, want)
+
     def test_paths_differ_across_indices(self):
         grid = TimeGrid(1.0, 200)
         a = simulate_path(BrownianMotion(1.0), grid, SeedSpec(1, 0))
         b = simulate_path(BrownianMotion(1.0), grid, SeedSpec(1, 1))
         assert not np.array_equal(a.values, b.values)
+
+
+def assert_same_path(a, b):
+    for name in ("values", "jump_indices", "jump_sizes"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert np.array_equal(a.left_values(), b.left_values())
+
+
+class TestBatch:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(master_seed=st.integers(0, 2**64 - 1),
+           indices=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
+    def test_rows_are_the_per_path_paths(self, family, master_seed, indices):
+        grid = TimeGrid(1.0, 32)
+        model = FAMILIES[family]
+        batch = simulate_batch(model, grid, master_seed, indices)
+        for j, i in enumerate(indices):
+            want = simulate_path(model, grid, SeedSpec(master_seed, i))
+            got = batch.path(j)
+            assert_same_path(got, want)
+            assert np.array_equal(batch.left_values()[j], want.left_values())
+            assert list(got.components) == list(want.components)
+            for name, part in want.components.items():
+                assert_same_path(got.components[name], part)
+
+    def test_drift_of_the_wrong_shape_is_rejected(self):
+        grid = TimeGrid(1.0, 10)
+        for f in (lambda t: 1.0, lambda t: t[:-1], lambda t: t[None]):
+            with pytest.raises(ValueError):
+                simulate_path(DeterministicDrift(f), grid, SeedSpec(0, 0))
 
 
 class TestDeterministicModels:
