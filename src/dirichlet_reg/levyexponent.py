@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _GL_NODES = 64
+_U_BLOCK = 64  # u rows per block of exponentials
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,10 @@ class WeightedAtoms:
             raise ValueError("atoms must avoid 0")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ws", ws)
+
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Locations and weights of the exact sum."""
+        return self.xs, self.ws
 
     def integrate(self, f) -> complex:
         return complex(np.sum(self.ws * f(self.xs)))
@@ -103,8 +108,12 @@ class GriddedDensity:
         w[np.abs(self.xs) < self.spacing] = 0.0  # hole around the origin
         return w
 
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Grid points and trapezoid weights times density."""
+        return self.xs, self._weights() * self.density
+
     def integrate(self, f) -> complex:
-        return complex(np.sum(self._weights() * self.density * f(self.xs)))
+        return complex(np.sum(self.nodes()[1] * f(self.xs)))
 
     def variation_check(self) -> float:
         """Total-variation integral of 1 ^ x^2 (finite by construction)."""
@@ -131,16 +140,35 @@ class Triplet1D:
     truncation: TruncationFunction = field(default_factory=standard_truncation)
 
 
+def _mirror_start(u: np.ndarray) -> int:
+    """First index to evaluate directly: the middle of an exactly antisymmetric
+    u with no zero in its lower half, whose values at -u are then conjugates
+    (a mirrored 0 could flip the sign of a zero), else 0."""
+    half = u.size // 2
+    return half if u[:half].all() and np.array_equal(u, -u[::-1]) else 0
+
+
 def exponent_eval(triplet: Triplet1D, u) -> np.ndarray | complex:
-    """psi(u); exact sums for atoms, trapezoid quadrature for densities."""
+    """psi(u); exact sums for atoms, trapezoid quadrature for densities.
+
+    Lambda and k are real, so the jump term at -u is the conjugate of the
+    one at u: on an exactly antisymmetric u only the upper half (with any 0)
+    is evaluated and the lower half is its mirror, bit for bit.
+    """
     u_arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
     psi = 1j * u_arr * triplet.b - 0.5 * u_arr**2 * triplet.c
     if triplet.lam is not None:
-        k = triplet.truncation
-        for i, ui in enumerate(u_arr):
-            psi[i] += triplet.lam.integrate(
-                lambda x, ui=ui: np.exp(1j * ui * x) - 1.0 - 1j * ui * k(x)
-            )
+        xs, wts = triplet.lam.nodes()
+        kx = triplet.truncation(xs)
+        m = u_arr.size
+        start = _mirror_start(u_arr)
+        jump = np.empty(m, dtype=np.complex128)
+        for lo in range(start, m, _U_BLOCK):
+            iu = 1j * u_arr[lo:lo + _U_BLOCK, None]
+            # row sums over the contiguous axis keep the per-u pairwise order
+            jump[lo:lo + _U_BLOCK] = np.sum(wts * (np.exp(iu * xs) - 1.0 - iu * kx), axis=1)
+        jump[:start] = np.conj(jump[m - start:][::-1])
+        psi += jump
     return psi if np.ndim(u) else complex(psi[0])
 
 
@@ -313,7 +341,14 @@ def recover_triplet(
     xs = (np.arange(x_cells) + 0.5) * (2 * x_max / x_cells) - x_max
     weight = _sinc_weight(w, xs)
     mask = weight > weight_guard
-    phase = np.exp(-1j * np.outer(xs, u_sub))  # (x_cells, n_u)
+    # phase = exp(-i x u), (x_cells, n_u); on an exactly antisymmetric u_sub
+    # the left columns are the conjugates of the mirrored right ones
+    n_u = u_sub.size
+    start = _mirror_start(u_sub)
+    phase = np.empty((x_cells, n_u), dtype=np.complex128)
+    np.multiply(-1j, np.outer(xs, u_sub[start:]), out=phase[:, start:])
+    np.exp(phase[:, start:], out=phase[:, start:])
+    np.conj(phase[:, n_u - start:][:, ::-1], out=phase[:, :start])
 
     def invert(dc: complex) -> np.ndarray:
         dens = (phase @ ((phi - dc) * u_weights)).real / (2 * np.pi)
@@ -323,11 +358,14 @@ def recover_triplet(
     dens = invert(dc)
     if refine_dc:
         # subtract the u-window mean that the recovered measure itself explains
+        # exp(+i x u) is conj(phase) bit for bit; rows are reduced in blocks
         dx = xs[1] - xs[0]
-        transform_mean = complex(
-            np.sum(dens[mask] * np.sum(u_weights * np.exp(1j * np.outer(xs[mask], u_sub)), axis=1))
-            * dx / window
-        )
+        rows = np.flatnonzero(mask)
+        row_sums = np.empty(rows.size, dtype=np.complex128)
+        for lo in range(0, rows.size, _U_BLOCK):
+            block = phase[rows[lo:lo + _U_BLOCK]]
+            row_sums[lo:lo + _U_BLOCK] = np.sum(u_weights * np.conj(block), axis=1)
+        transform_mean = complex(np.sum(dens[mask] * row_sums) * dx / window)
         dc = complex(np.sum(phi * u_weights) / window) - transform_mean
         dens = invert(dc)
 

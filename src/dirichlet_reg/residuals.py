@@ -424,16 +424,15 @@ def residual_ensemble(
     for start in range(0, n_paths, batch_size):
         stop = min(start + batch_size, n_paths)
         batch = simulate_batch(model, grid, master_seed, range(start, stop))
-        values, _ = _residual_rows(
-            chars, grid, batch.values, batch.left_values(), chars.bk_values(batch),
-            F, mode, schedule,
-        )
+        paths, left, bk = batch.values, batch.left_values(), chars.bk_values(batch)
+        del batch  # the kernel reads no component or jump rows: free them first
+        values, _ = _residual_rows(chars, grid, paths, left, bk, F, mode, schedule)
         if inject_drift:
             values = values + inject_drift * grid.times()
         for t, i in m_idx.items():
             res_at[t][start:stop] = values[:, i]
         for s, i in s_idx.items():
-            path_at[s][start:stop] = batch.values[:, i]
+            path_at[s][start:stop] = paths[:, i]
 
     return ResidualEnsemble(
         times=tuple(times),

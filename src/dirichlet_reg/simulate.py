@@ -208,7 +208,10 @@ class SeedSpec:
     path_index: int = 0
 
     def bit_generator(self, component: int = 0) -> np.random.BitGenerator:
-        key = [self.master_seed & (2**64 - 1), self.path_index & (2**64 - 1)]
+        # a uint64 array: a list mixing words above and below 2**63 would go
+        # through float64 and lose the low bits of the large word
+        key = np.array([self.master_seed & (2**64 - 1), self.path_index & (2**64 - 1)],
+                       dtype=np.uint64)
         return np.random.Philox(key=key, counter=[0, 0, component, 0])
 
     def generator(self, component: int = 0) -> np.random.Generator:

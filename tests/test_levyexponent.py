@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirichlet_reg import (
     ExponentGrid,
@@ -12,7 +16,11 @@ from dirichlet_reg import (
     recover_triplet,
     standard_truncation,
 )
+from dirichlet_reg.characteristics import smooth_clip_truncation
 from dirichlet_reg.levyexponent import atom_mass, kernel_null_halfwidth
+
+# a NaN from an empty mean or a 0/0 fails loudly
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 STD = standard_truncation()
 
@@ -23,7 +31,69 @@ def gaussian_density_measure(weight=2.0, sd=0.25, x_max=4.0, n=4001):
     return GriddedDensity(xs, dens)
 
 
+def reference_psi(triplet, u) -> np.ndarray:
+    """psi by one measure integral per u, the loop exponent_eval replaces."""
+    u_arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    psi = 1j * u_arr * triplet.b - 0.5 * u_arr**2 * triplet.c
+    k = triplet.truncation
+    for i, ui in enumerate(u_arr):
+        psi[i] += triplet.lam.integrate(
+            lambda x, ui=ui: np.exp(1j * ui * x) - 1.0 - 1j * ui * k(x)
+        )
+    return psi
+
+
+SIGNED_XS = np.linspace(-3.0, 5.0, 640)
+MEASURES = {
+    "gridded": gaussian_density_measure(n=801),
+    "signed_gridded": GriddedDensity(SIGNED_XS, np.sin(3 * SIGNED_XS) * np.exp(-np.abs(SIGNED_XS))),
+    "atoms": WeightedAtoms(np.array([2.0]), np.array([1.0])),
+    "signed_atoms": WeightedAtoms(np.array([0.5, -0.8, 1.0, -1.0, 2.5]),
+                                  np.array([1.0, -0.5, 0.3, 0.2, -0.1])),
+}
+U_GRIDS = {
+    "odd_with_zero": ExponentGrid.symmetric_grid(20.0, 257),
+    "even": ExponentGrid.symmetric_grid(40.0, 300),
+    "short_odd": np.array([-2.0, -0.0, 2.0]),
+    "signed_zeros": np.array([-0.0, 0.0]),
+    "not_antisymmetric": np.linspace(-3.0, 7.0, 301),
+    "positive": np.linspace(0.0, 10.0, 130),
+    "scalar": 1.7,
+}
+
+
 class TestExponentEval:
+    @pytest.mark.parametrize("grid", sorted(U_GRIDS))
+    @pytest.mark.parametrize("truncation", [STD, smooth_clip_truncation()], ids=lambda k: k.name)
+    @pytest.mark.parametrize("measure", sorted(MEASURES))
+    def test_bits_equal_the_per_u_loop(self, measure, truncation, grid):
+        tri = Triplet1D(-0.3, -0.4, MEASURES[measure], truncation)
+        u = U_GRIDS[grid]
+        got = np.atleast_1d(np.asarray(exponent_eval(tri, u), dtype=np.complex128))
+        assert got.tobytes() == reference_psi(tri, u).tobytes()
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(b=st.floats(-3, 3), c=st.floats(-3, 3),
+           atoms=st.lists(st.tuples(st.floats(0.01, 5), st.booleans(), st.floats(-2, 2)),
+                          min_size=1, max_size=8),
+           gridded=st.booleans(), u_max=st.floats(0.5, 60), m=st.integers(2, 200),
+           smooth=st.booleans())
+    def test_psi_at_minus_u_is_the_conjugate(self, b, c, atoms, gridded, u_max, m, smooth):
+        xs = np.array([x if positive else -x for x, positive, _ in atoms])
+        ws = np.array([w for _, _, w in atoms])
+        if gridded:
+            grid_x = ExponentGrid.symmetric_grid(float(np.max(np.abs(xs))) + 1.0, 4 * m + 1)
+            lam = GriddedDensity(grid_x, np.interp(grid_x, np.sort(xs), ws[np.argsort(xs)]))
+        else:
+            lam = WeightedAtoms(xs, ws)
+        tri = Triplet1D(b, c, lam, smooth_clip_truncation() if smooth else STD)
+        u = ExponentGrid.symmetric_grid(u_max, m)
+        psi = exponent_eval(tri, u)
+        assert np.array_equal(psi[::-1], np.conj(psi))
+        # each sign evaluated on its own (neither array is antisymmetric)
+        upper = u[u > 0]
+        assert np.array_equal(exponent_eval(tri, -upper), np.conj(exponent_eval(tri, upper)))
+
     def test_zero_triplet(self):
         tri = Triplet1D(0.0, 0.0, None, STD)
         u = np.linspace(-5, 5, 11)
@@ -114,7 +184,44 @@ class TestPhiW:
             phi_w(g, 0.0, 1.0)
 
 
+def reference_recovery(grid, w, x_max=4.0, x_cells=1024, weight_guard=1e-3):
+    """dc and the Lambda density from the two dense phase matrices that
+    recover_triplet replaces by one."""
+    u_sub = grid.u[np.abs(grid.u) <= grid.u_max - abs(w)]
+    phi = phi_w(grid, w, u_sub)
+    u_weights = np.full(u_sub.size, u_sub[1] - u_sub[0])
+    u_weights[0] *= 0.5
+    u_weights[-1] *= 0.5
+    window = float(np.sum(u_weights))
+    xs = (np.arange(x_cells) + 0.5) * (2 * x_max / x_cells) - x_max
+    weight = 1.0 - np.sinc(w * xs / np.pi)
+    mask = weight > weight_guard
+    phase = np.exp(-1j * np.outer(xs, u_sub))
+    dc = complex(np.sum(phi * u_weights) / window)
+    dens = (phase @ ((phi - dc) * u_weights)).real / (2 * np.pi)
+    conj_phase = np.exp(1j * np.outer(xs[mask], u_sub))
+    transform_mean = complex(
+        np.sum(dens[mask] * np.sum(u_weights * conj_phase, axis=1)) * (xs[1] - xs[0]) / window
+    )
+    dc = complex(np.sum(phi * u_weights) / window) - transform_mean
+    dens = (phase @ ((phi - dc) * u_weights)).real / (2 * np.pi)
+    density = np.zeros_like(xs)
+    density[mask] = dens[mask] / weight[mask]
+    return dc, density
+
+
 class TestRecovery:
+    @pytest.mark.parametrize("x_cells", [1024, 777])
+    @pytest.mark.parametrize("w", [2.0, 3.0, -2.0])
+    @pytest.mark.parametrize("m", [600, 1025])
+    @pytest.mark.parametrize("measure", ["gridded", "signed_atoms"])
+    def test_bits_equal_the_dense_phase_matrices(self, measure, m, w, x_cells):
+        g = ExponentGrid.from_triplet(Triplet1D(0.5, 1.0, MEASURES[measure], STD), 40.0, m)
+        rec = recover_triplet(g, w=w, k=STD, x_cells=x_cells)
+        dc, density = reference_recovery(g, w, x_cells=x_cells)
+        assert np.array(rec.diagnostics["dc"]).tobytes() == np.array([dc.real, dc.imag]).tobytes()
+        assert rec.lam.density.tobytes() == density.tobytes()
+
     def test_zero_triplet_recovers_zero(self):
         g = ExponentGrid(
             ExponentGrid.symmetric_grid(40.0, 2048), np.zeros(2048, dtype=complex)
@@ -175,6 +282,18 @@ class TestRecovery:
         grid = ExponentGrid.from_triplet(Triplet1D(0.3, 0.5, lam, STD), u_max=4000.0, m=512)
         with pytest.raises(ValueError, match=r"0.1 <= \|u\| <= 1.0.*u-spacing 15.6"):
             recover_triplet(grid)
+
+    def test_peak_memory_is_bounded(self):
+        # 2048 u samples x 1024 x-cells: one complex phase matrix is about 32 MB
+        tri = Triplet1D(0.5, 1.0, gaussian_density_measure(n=801), STD)
+        g = ExponentGrid.from_triplet(tri, u_max=40.0, m=2048)
+        tracemalloc.start()
+        try:
+            recover_triplet(g, w=2.0, k=STD, x_cells=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64e6
 
     def test_forward_residual_reported(self):
         tri = Triplet1D(0.5, 1.0, gaussian_density_measure(), STD)

@@ -100,6 +100,23 @@ class TestDeterminism:
         got = SeedSpec(*key).bit_generator(component).random_raw(16)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("a, b", [((2**63 + 1, 3), (2**63 + 5, 3)),
+                                      ((2**64 - 1, 3), (0, 3)),
+                                      ((3, 2**63 + 1), (3, 2**63 + 5))])
+    def test_seed_words_above_2_63_keep_their_own_stream(self, a, b):
+        grid = TimeGrid(1.0, 16)
+        pa = simulate_path(BrownianMotion(1.0), grid, SeedSpec(*a))
+        pb = simulate_path(BrownianMotion(1.0), grid, SeedSpec(*b))
+        assert not np.array_equal(pa.values, pb.values)
+
+    @pytest.mark.parametrize("key", [(0, 0), (7, 123), (2**31 - 1, 2**40), (2**63 - 1, 2**63 - 1)])
+    def test_keys_below_2_63_keep_the_list_key_stream(self, key):
+        want = np.random.Philox(key=list(key), counter=[0, 0, 2, 0])
+        got = SeedSpec(*key).bit_generator(2)
+        for name in ("counter", "key"):
+            assert np.array_equal(got.state["state"][name], want.state["state"][name])
+        assert np.array_equal(got.random_raw(8), want.random_raw(8))
+
     def test_paths_differ_across_indices(self):
         grid = TimeGrid(1.0, 200)
         a = simulate_path(BrownianMotion(1.0), grid, SeedSpec(1, 0))
