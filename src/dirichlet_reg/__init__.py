@@ -44,7 +44,6 @@ from .simulate import (
     UniformJumps,
     law_expectation,
     simulate_batch,
-    simulate_ensemble,
     simulate_path,
 )
 from .characteristics import (
@@ -56,7 +55,6 @@ from .characteristics import (
     convert_truncation,
     decompose,
     drift_bracket_check,
-    drift_bracket_rhs,
     drift_jump,
     known_characteristics,
     smooth_clip_truncation,

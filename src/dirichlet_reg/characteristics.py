@@ -24,6 +24,7 @@ from .paths import CadlagPath, PathBatch, TimeGrid
 from .regularize import (
     EpsilonSchedule,
     IdentityReport,
+    _identity_report,
     covariation_limit,
     qv_decompose,
 )
@@ -52,7 +53,6 @@ __all__ = [
     "Decomposition",
     "decompose",
     "drift_jump",
-    "drift_bracket_rhs",
     "drift_bracket_check",
     "continuous_bracket_check",
 ]
@@ -212,63 +212,47 @@ def known_characteristics(model: ModelSpec, k: TruncationFunction) -> Characteri
     For Levy-type models the drift characteristic is (trend + rate*E[k(J)])*t;
     fractional components enter as a path-dependent drift part; the compensator
     is rate dt law(dx) and there are no fixed-time atoms (all these families
-    are quasi-left-continuous).
+    are quasi-left-continuous).  A single family is a composite of one leaf.
     """
-    if isinstance(model, BrownianMotion):
-        s2 = model.sigma**2
-        return CharacteristicsModel(truncation=k, c_eval=lambda t: s2 * t)
-    if isinstance(model, FractionalBrownianMotion):
-        return CharacteristicsModel(truncation=k, drift_path_fn=_fbm_sum_fn(["fbm"]))
-    if isinstance(model, CompoundPoisson):
-        slope = model.rate * law_expectation(model.law, k.fn)
-        return CharacteristicsModel(
-            truncation=k, drift_slope=slope, compensators=((model.rate, model.law),)
-        )
-    if isinstance(model, LevyJumpDiffusion):
-        slope = model.drift + model.rate * law_expectation(model.law, k.fn)
-        s2 = model.sigma**2
-        return CharacteristicsModel(
-            truncation=k,
-            drift_slope=slope,
-            c_eval=lambda t: s2 * t,
-            compensators=((model.rate, model.law),),
-        )
-    if isinstance(model, DeterministicDrift):
-        return CharacteristicsModel(truncation=k, drift_profile=_centered(model.f))
-    if isinstance(model, Composite):
-        slope = 0.0
-        profiles = []
-        fbm_names: list[str] = []
-        comp_list: list[tuple[float, JumpLaw]] = []
-        c_rate = 0.0
-        taken: set[str] = set()
-        for comp in model.components:
-            name = _component_name(comp, taken)
-            if isinstance(comp, BrownianMotion):
+    composite = isinstance(model, Composite)
+    # a lone leaf keeps its slope's bits: 0.0 + x would turn x = -0.0 into 0.0
+    slope = 0.0 if composite else None
+    profiles = []
+    fbm_names: list[str] = []
+    comp_list: list[tuple[float, JumpLaw]] = []
+    c_rate = 0.0
+    taken: set[str] = set()
+    for comp in model.components if composite else (model,):
+        if isinstance(comp, BrownianMotion):
+            c_rate += comp.sigma**2
+        elif isinstance(comp, FractionalBrownianMotion):
+            fbm_names.append(_component_name(comp, taken))
+        elif isinstance(comp, (CompoundPoisson, LevyJumpDiffusion)):
+            term = comp.rate * law_expectation(comp.law, k.fn)
+            if isinstance(comp, LevyJumpDiffusion):
+                term = comp.drift + term
                 c_rate += comp.sigma**2
-            elif isinstance(comp, FractionalBrownianMotion):
-                fbm_names.append(name)
-            elif isinstance(comp, CompoundPoisson):
-                slope += comp.rate * law_expectation(comp.law, k.fn)
-                comp_list.append((comp.rate, comp.law))
-            elif isinstance(comp, DeterministicDrift):
-                profiles.append(_centered(comp.f))
-        profile = None
-        if profiles:
-            def profile(t, fns=tuple(profiles)):
-                total = np.zeros_like(np.asarray(t, np.float64))
-                for f in fns:
-                    total = total + f(t)
-                return total
-        return CharacteristicsModel(
-            truncation=k,
-            drift_slope=slope,
-            drift_profile=profile,
-            drift_path_fn=_fbm_sum_fn(fbm_names) if fbm_names else None,
-            c_eval=(lambda t, r=c_rate: r * t) if c_rate > 0 else None,
-            compensators=tuple(comp_list),
-        )
-    raise TypeError(f"no known characteristics for {type(model).__name__}")
+            slope = term if slope is None else slope + term
+            comp_list.append((comp.rate, comp.law))
+        elif isinstance(comp, DeterministicDrift):
+            profiles.append(_centered(comp.f))
+        else:
+            raise TypeError(f"no known characteristics for {type(model).__name__}")
+    profile = None
+    if profiles:
+        def profile(t, fns=tuple(profiles)):
+            total = np.zeros_like(np.asarray(t, np.float64))
+            for f in fns:
+                total = total + f(t)
+            return total
+    return CharacteristicsModel(
+        truncation=k,
+        drift_slope=0.0 if slope is None else slope,
+        drift_profile=profile,
+        drift_path_fn=_fbm_sum_fn(fbm_names) if fbm_names else None,
+        c_eval=(lambda t, r=c_rate: r * t) if c_rate > 0 else None,
+        compensators=tuple(comp_list),
+    )
 
 
 def convert_truncation(
@@ -281,7 +265,7 @@ def convert_truncation(
     Only the drift characteristic moves: slope shifts by rate*E[k'(J) - k(J)]
     per compensator entry; C and the compensator are unchanged.
     """
-    chars = model if isinstance(model, CharacteristicsModel) else known_characteristics(model, k)
+    chars = _as_chars(model, k)
     shift = sum(
         rate * (law_expectation(law, k_new.fn) - law_expectation(law, k.fn))
         for rate, law in chars.compensators
@@ -366,27 +350,32 @@ def drift_jump(
     return total
 
 
-def _drift_bracket_terms(X, decomposition, model, k, schedule):
-    """Right side of the drift-bracket identity with the two estimates it uses."""
-    chars = _as_chars(model, k)
-    qv_x = qv_decompose(X, schedule)
-    qv_xc = covariation_limit(decomposition.continuous, decomposition.continuous, schedule)
-    atom_squares = np.cumsum(chars._atom_steps(X.grid) ** 2)
-    return qv_x.continuous - qv_xc.limit + atom_squares, qv_x, qv_xc
+def _decomposition_brackets(X, decomposition, schedule):
+    """[X, X], [X^c, X^c] and [drift, drift], each estimated once; both
+    bracket identities of a decomposition are read off these three."""
+    xc = decomposition.continuous
+    return (
+        qv_decompose(X, schedule),
+        covariation_limit(xc, xc, schedule),
+        qv_decompose(decomposition.drift, schedule),
+    )
 
 
-def drift_bracket_rhs(
-    X: CadlagPath,
-    decomposition: Decomposition,
-    model: ModelSpec | CharacteristicsModel,
-    k: TruncationFunction,
-    schedule: EpsilonSchedule,
-) -> np.ndarray:
-    """Right side of the drift-bracket identity:
+def _drift_bracket_report(X, model, k, brackets) -> IdentityReport:
+    qv_x, qv_xc, qv_bk = brackets
+    atom_squares = np.cumsum(_as_chars(model, k)._atom_steps(X.grid) ** 2)
+    rhs = qv_x.continuous - qv_xc.limit + atom_squares
+    return _identity_report(
+        "drift bracket identity", qv_bk.estimate.limit, rhs, (qv_bk.estimate, qv_x.estimate, qv_xc)
+    )
 
-        [X, X]^c - [X^c, X^c] + sum over s <= t of (integral of k d nu({s}))^2.
-    """
-    return _drift_bracket_terms(X, decomposition, model, k, schedule)[0]
+
+def _continuous_bracket_report(brackets) -> IdentityReport:
+    qv_x, qv_xc, qv_bk = brackets
+    return _identity_report(
+        "continuous bracket split", qv_x.continuous, qv_xc.limit + qv_bk.continuous,
+        (qv_x.estimate, qv_xc, qv_bk.estimate),
+    )
 
 
 def drift_bracket_check(
@@ -396,36 +385,15 @@ def drift_bracket_check(
     k: TruncationFunction,
     schedule: EpsilonSchedule,
 ) -> IdentityReport:
-    """Compares [drift, drift] against the right side above, in sup norm."""
-    rhs, qv_x, qv_xc = _drift_bracket_terms(X, decomposition, model, k, schedule)
-    lhs = covariation_limit(decomposition.drift, decomposition.drift, schedule)
-    sup = float(np.max(np.abs(lhs.limit - rhs)))
-    return IdentityReport(
-        name="drift bracket identity",
-        sup_distance=sup,
-        error_estimate=lhs.error_estimate + qv_x.estimate.error_estimate + qv_xc.error_estimate,
-        converged=lhs.converged and qv_x.converged and qv_xc.converged,
-        lhs=lhs.limit,
-        rhs=rhs,
-    )
+    """Compares [drift, drift] in sup norm against
+
+        [X, X]^c - [X^c, X^c] + sum over s <= t of (integral of k d nu({s}))^2.
+    """
+    return _drift_bracket_report(X, model, k, _decomposition_brackets(X, decomposition, schedule))
 
 
 def continuous_bracket_check(
     X: CadlagPath, decomposition: Decomposition, schedule: EpsilonSchedule
 ) -> IdentityReport:
     """Checks [X, X]^c = [X^c, X^c] + [drift, drift]^c in sup norm."""
-    qv_x = qv_decompose(X, schedule)
-    qv_xc = covariation_limit(decomposition.continuous, decomposition.continuous, schedule)
-    qv_bk = qv_decompose(decomposition.drift, schedule)
-    rhs = qv_xc.limit + qv_bk.continuous
-    sup = float(np.max(np.abs(qv_x.continuous - rhs)))
-    return IdentityReport(
-        name="continuous bracket split",
-        sup_distance=sup,
-        error_estimate=qv_x.estimate.error_estimate
-        + qv_xc.error_estimate
-        + qv_bk.estimate.error_estimate,
-        converged=qv_x.converged and qv_xc.converged and qv_bk.converged,
-        lhs=qv_x.continuous,
-        rhs=rhs,
-    )
+    return _continuous_bracket_report(_decomposition_brackets(X, decomposition, schedule))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -29,9 +30,10 @@ import numpy as np
 
 from . import __version__
 from .characteristics import (
-    continuous_bracket_check,
+    _continuous_bracket_report,
+    _decomposition_brackets,
+    _drift_bracket_report,
     decompose,
-    drift_bracket_check,
     known_characteristics,
     smooth_clip_truncation,
     standard_truncation,
@@ -92,9 +94,20 @@ class ConfigError(ValueError):
     pass
 
 
-def _schema() -> dict:
+@functools.cache
+def _validator():
+    """The shipped schema's validator, built once per process (each
+    ``jsonschema.validate`` call re-checks the schema against its metaschema)."""
     with resources.files("dirichlet_reg").joinpath("config_schema.json").open() as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _validate(cfg: dict, what: str) -> None:
+    """Raises what ``jsonschema.validate`` would, as a config error."""
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"{what} violates schema: {error.message}")
 
 
 def load_config(path: str) -> dict:
@@ -106,10 +119,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if isinstance(raw, dict) and "config" in raw and "tool_version" in raw:
         raw = raw["config"]
-    try:
-        jsonschema.validate(raw, _schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config violates schema: {exc.message}") from exc
+    _validate(raw, "config")
     return raw
 
 
@@ -124,10 +134,7 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> dict:
             cfg["grid"] = dict(cfg["grid"], **{key: getattr(args, key)})
     out = args.out or cfg.get("out") or os.environ.get("DIRICHLET_REG_OUT") or "runs"
     cfg["out"] = str(out)
-    try:
-        jsonschema.validate(cfg, _schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"resolved config violates schema: {exc.message}") from exc
+    _validate(cfg, "resolved config")
     return cfg
 
 
@@ -356,9 +363,10 @@ def cmd_decompose(cfg: dict, outdir: Path):
     tol = cfg["tolerance"]
     reports = {}
     nonconverged = False
+    brackets = _decomposition_brackets(X, dec, schedule)
     for label, rep in (
-        ("drift_bracket", drift_bracket_check(X, dec, model, k, schedule)),
-        ("continuous_bracket", continuous_bracket_check(X, dec, schedule)),
+        ("drift_bracket", _drift_bracket_report(X, model, k, brackets)),
+        ("continuous_bracket", _continuous_bracket_report(brackets)),
     ):
         reports[label] = {
             "lhs_sup": float(np.max(np.abs(rep.lhs))),

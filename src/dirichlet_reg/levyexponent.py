@@ -90,6 +90,8 @@ class GriddedDensity:
         if xs.shape != d.shape or xs.ndim != 1 or xs.size < 2:
             raise ValueError("grid and density must be aligned 1-d arrays")
         step = np.diff(xs)
+        if not np.all(step > 0):
+            raise ValueError("x-grid must be strictly increasing")
         if np.any(np.abs(step - step[0]) > 1e-9 * abs(step[0])):
             raise ValueError("x-grid must be uniform")
         if not np.all(np.isfinite(d)):
@@ -211,6 +213,8 @@ class ExponentGrid:
         if u.shape != psi.shape or u.ndim != 1 or u.size < 2:
             raise ValueError("u and psi must be aligned 1-d arrays")
         step = np.diff(u)
+        if not np.all(step > 0):
+            raise ValueError("u-grid must be strictly increasing")
         if np.any(np.abs(step - step[0]) > 1e-9 * abs(step[0])):
             raise ValueError("u-grid must be uniform")
         if abs(u[0] + u[-1]) > 1e-9 * abs(u[-1]):

@@ -251,6 +251,21 @@ class IdentityReport:
         return self.precondition_ok and self.sup_distance <= tolerance
 
 
+def _identity_report(
+    name: str, lhs: np.ndarray, rhs: np.ndarray, estimates: Sequence[CovariationEstimate],
+    precondition_ok: bool = True, precondition_note: str = "",
+) -> IdentityReport:
+    """The one combination policy of every identity check: sup norm of
+    lhs - rhs, the estimates' error bars summed in order, and converged only
+    when every estimate converged."""
+    error = 0.0
+    for est in estimates:
+        error += est.error_estimate
+    converged = all(est.converged for est in estimates)
+    sup = float(np.max(np.abs(lhs - rhs)))
+    return IdentityReport(name, sup, error, converged, precondition_ok, precondition_note, lhs, rhs)
+
+
 def pure_jump_covariation_check(
     Y: CadlagPath,
     Z: CadlagPath,
@@ -275,17 +290,7 @@ def pure_jump_covariation_check(
     )
     est = covariation_limit(Y, Z, schedule)
     rhs = np.cumsum(Y.node_jumps() * Z.node_jumps())
-    sup = float(np.max(np.abs(est.limit - rhs)))
-    return IdentityReport(
-        name="pure-jump covariation",
-        sup_distance=sup,
-        error_estimate=est.error_estimate,
-        converged=est.converged,
-        precondition_ok=pre_ok,
-        precondition_note=note,
-        lhs=est.limit,
-        rhs=rhs,
-    )
+    return _identity_report("pure-jump covariation", est.limit, rhs, (est,), pre_ok, note)
 
 
 def smooth_map_qv_check(
@@ -303,15 +308,7 @@ def smooth_map_qv_check(
     lhs_est = covariation_limit(img, img, schedule)
     g = np.asarray(dphi(X.left_values()), dtype=np.float64) ** 2
     rhs = _cumsum0(g[:-1] * np.diff(qv_x.continuous)) + img.squared_jump_trajectory()
-    sup = float(np.max(np.abs(lhs_est.limit - rhs)))
-    return IdentityReport(
-        name="C1 bracket stability",
-        sup_distance=sup,
-        error_estimate=lhs_est.error_estimate + qv_x.estimate.error_estimate,
-        converged=lhs_est.converged and qv_x.converged,
-        lhs=lhs_est.limit,
-        rhs=rhs,
-    )
+    return _identity_report("C1 bracket stability", lhs_est.limit, rhs, (lhs_est, qv_x.estimate))
 
 
 def smooth_map_cross_check(
@@ -337,12 +334,4 @@ def smooth_map_cross_check(
     )
     img_jumps = np.cumsum(img1.node_jumps() * img2.node_jumps())
     rhs = _cumsum0(g[:-1] * np.diff(cross_cont)) + img_jumps
-    sup = float(np.max(np.abs(lhs_est.limit - rhs)))
-    return IdentityReport(
-        name="C1 cross-bracket stability",
-        sup_distance=sup,
-        error_estimate=lhs_est.error_estimate + cross.error_estimate,
-        converged=lhs_est.converged and cross.converged,
-        lhs=lhs_est.limit,
-        rhs=rhs,
-    )
+    return _identity_report("C1 cross-bracket stability", lhs_est.limit, rhs, (lhs_est, cross))

@@ -35,6 +35,7 @@ from .regularize import (
     forward_integral_limit,
     _cumsum0,
     _fwd_eps,
+    _identity_report,
     _qv_eps,
 )
 from .simulate import (
@@ -591,15 +592,7 @@ def drift_orthogonality_probe(
     reports = []
     for name, probe in probes:
         est = covariation_limit(integral_path, probe, schedule)
-        sup = float(np.max(np.abs(est.limit)))
-        reports.append(
-            IdentityReport(
-                name=f"drift-integral orthogonality vs {name}",
-                sup_distance=sup,
-                error_estimate=est.error_estimate + fwd.error_estimate,
-                converged=est.converged and fwd.converged,
-                lhs=est.limit,
-                rhs=np.zeros_like(est.limit),
-            )
-        )
+        reports.append(_identity_report(
+            f"drift-integral orthogonality vs {name}", est.limit, np.zeros_like(est.limit), (est, fwd)
+        ))
     return reports

@@ -35,7 +35,6 @@ __all__ = [
     "law_expectation",
     "simulate_batch",
     "simulate_path",
-    "simulate_ensemble",
 ]
 
 _QUAD_NODES = 40
@@ -351,12 +350,3 @@ def simulate_path(model: ModelSpec, grid: TimeGrid, seed: SeedSpec) -> CadlagPat
     of ``simulate_batch``, with its ``components`` dict of per-component paths."""
     return simulate_batch(model, grid, seed.master_seed, [seed.path_index]).path(0)
 
-
-def simulate_ensemble(
-    model: ModelSpec, grid: TimeGrid, master_seed: int, n_paths: int
-) -> list[CadlagPath]:
-    """Independent paths; path i uses the (master_seed, i) substream."""
-    if n_paths < 1:
-        raise ValueError("need at least one path")
-    batch = simulate_batch(model, grid, master_seed, range(n_paths))
-    return [batch.path(j) for j in range(n_paths)]

@@ -38,7 +38,6 @@ from dirichlet_reg import (
     decompose,
     default_schedule,
     drift_bracket_check,
-    drift_bracket_rhs,
     exp_tanh,
     forward_integral_eps,
     known_characteristics,
@@ -204,7 +203,7 @@ def test_criterion_5_drift_bracket_identities():
         large_jumps=CadlagPath(grid, np.zeros(grid.n_nodes)),
         reconstruction_error=0.0,
     )
-    rhs = drift_bracket_rhs(X, dec, CharacteristicsModel(truncation=STD), STD, sched)
+    rhs = drift_bracket_check(X, dec, CharacteristicsModel(truncation=STD), STD, sched).rhs
     synth_err = float(np.max(np.abs(rhs - grid.times())))
 
     ok = levy_ok and med < 0.05 and synth_err < 0.05

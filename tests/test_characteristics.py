@@ -24,7 +24,6 @@ from dirichlet_reg import (
     decompose,
     default_schedule,
     drift_bracket_check,
-    drift_bracket_rhs,
     drift_jump,
     known_characteristics,
     simulate_path,
@@ -279,7 +278,7 @@ class TestBracketIdentities:
             large_jumps=CadlagPath(grid, np.zeros(grid.n_nodes)),
             reconstruction_error=0.0,
         )
-        rhs = drift_bracket_rhs(X, dec, chars, STD, default_schedule(grid))
+        rhs = drift_bracket_check(X, dec, chars, STD, default_schedule(grid)).rhs
         assert np.max(np.abs(rhs - grid.times())) < 0.05
 
     def test_continuous_bracket_split_brownian(self):

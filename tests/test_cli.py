@@ -1,10 +1,12 @@
 import json
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
 from dirichlet_reg import ExponentGrid, Triplet1D, WeightedAtoms, standard_truncation
-from dirichlet_reg.cli import main
+from dirichlet_reg.cli import ConfigError, _validate, main
 
 
 def run(tmp_path, command, config, name="config.json", extra=()):
@@ -32,6 +34,23 @@ class TestConfigHandling:
         code, _ = run(tmp_path, "qv", {"grid": {"horizon": 1.0, "steps": 10}, "bogus": 1})
         assert code == 2
 
+    @pytest.mark.parametrize("cfg", [
+        {"grid": {"horizon": -1.0, "steps": 100}},
+        {"grid": {"horizon": 1.0, "steps": 10}, "bogus": 1},
+        {"seed": 0},
+        {"grid": {"horizon": 1.0, "steps": 10}, "model": {"kind": "brownian", "sigma": "x"}},
+        {"grid": {"horizon": 1.0, "steps": 10}, "eps_multiples": []},
+        [],
+    ], ids=["horizon", "unknown_key", "no_grid", "model", "eps", "not_an_object"])
+    @pytest.mark.parametrize("stage", ["config", "resolved config"])
+    def test_messages_are_those_of_jsonschema_validate(self, cfg, stage):
+        schema_file = resources.files("dirichlet_reg").joinpath("config_schema.json")
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(cfg, json.loads(schema_file.read_text()))
+        with pytest.raises(ConfigError) as got:
+            _validate(cfg, stage)
+        assert str(got.value) == f"{stage} violates schema: {want.value.message}"
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["qv", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -48,9 +67,11 @@ class TestBadInput:
 
     def check_rejected(self, tmp_path, command, cfg, capsys):
         code, out = run(tmp_path, command, cfg)
+        err = capsys.readouterr().err
         assert code == 2
-        assert "config error:" in capsys.readouterr().err
+        assert "config error:" in err
         assert not out.exists() or list(out.iterdir()) == []
+        return err
 
     def test_semimartingale_mode_with_fbm_exits_2(self, tmp_path, capsys):
         cfg = {"grid": self.GRID, "paths": 10, "mode": "semimartingale",
@@ -106,6 +127,16 @@ class TestBadInput:
         ExponentGrid.from_triplet(tri, u_max=u_max, m=rows).to_csv(psi_csv)
         cfg = {"grid": self.GRID, "recover": {"psi_csv": str(psi_csv), "w": w}}
         self.check_rejected(tmp_path, "recover", cfg, capsys)
+
+    def test_descending_psi_csv_exits_2(self, tmp_path, capsys):
+        tri = Triplet1D(0.0, 0.0, WeightedAtoms(np.array([0.5]), np.array([1.0])),
+                        standard_truncation())
+        psi_csv = tmp_path / "psi.csv"
+        ExponentGrid.from_triplet(tri, u_max=40.0, m=2048).to_csv(psi_csv)
+        header, *rows = psi_csv.read_text().splitlines()
+        psi_csv.write_text("\n".join([header, *rows[::-1]]) + "\n")
+        cfg = {"grid": self.GRID, "recover": {"psi_csv": str(psi_csv)}}
+        assert "strictly increasing" in self.check_rejected(tmp_path, "recover", cfg, capsys)
 
     @pytest.mark.parametrize("command,integrand,csv_grid", [
         ("qv", "constant", (1.0, 3)),

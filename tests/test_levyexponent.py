@@ -314,6 +314,24 @@ class TestGridValidationAndIo:
         with pytest.raises(ValueError):
             ExponentGrid(u, np.zeros(64, dtype=complex))
 
+    def test_descending_grid_rejected(self):
+        # np.interp needs increasing u: on the reversed grid interp(1.0) read
+        # -50-5j against the true -0.5+0.5j
+        u = ExponentGrid.symmetric_grid(10.0, 201)
+        psi = 0.5j * u - 0.5 * u**2  # b = 0.5, c = 1
+        assert ExponentGrid(u, psi).interp(1.0) == pytest.approx(-0.5 + 0.5j)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ExponentGrid(u[::-1], psi[::-1])
+
+    def test_all_zero_grid_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ExponentGrid(np.zeros(8), np.zeros(8, dtype=complex))
+
+    def test_descending_density_grid_rejected(self):
+        xs = np.linspace(2.0, -2.0, 41)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            GriddedDensity(xs, np.ones_like(xs))
+
     def test_nonzero_origin_rejected(self):
         u = ExponentGrid.symmetric_grid(5.0, 65)
         psi = np.zeros(65, dtype=complex)

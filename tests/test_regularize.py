@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirichlet_reg import (
     BrownianMotion,
     CadlagPath,
     CompoundPoisson,
+    CovariationEstimate,
     DiscreteAtoms,
     EpsilonSchedule,
     SeedSpec,
@@ -23,6 +26,7 @@ from dirichlet_reg import (
     smooth_map_cross_check,
     smooth_map_qv_check,
 )
+from dirichlet_reg.regularize import _identity_report, _qv_eps
 
 
 def heaviside(grid, jump_time=0.5, size=1.0):
@@ -287,3 +291,91 @@ class TestSmoothMapChecks:
             X1, np.sin, np.cos, X2, np.tanh, sech2, default_schedule(grid)
         )
         assert rep.sup_distance < 0.2
+
+
+values_st = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def path_pairs(draw, max_nodes=40):
+    n1 = draw(st.integers(3, max_nodes))
+    rows = st.lists(values_st, min_size=n1, max_size=n1)
+    grid = TimeGrid(1.0, n1 - 1)
+    return CadlagPath(grid, np.array(draw(rows))), CadlagPath(grid, np.array(draw(rows)))
+
+
+def schedule_for(grid, top):
+    return EpsilonSchedule(tuple(m for m in (4, 2, 1) if m <= min(top, grid.n_steps - 1)))
+
+
+@st.composite
+def separated_step_paths(draw):
+    """Two step paths and the largest shift m below which their jumps are
+    isolated: every jump node is more than m nodes past the last one (and
+    past 0), and a node carrying jumps of both paths counts once."""
+    m = draw(st.integers(1, 6))
+    gaps = draw(st.lists(st.integers(m + 1, m + 8), min_size=1, max_size=5))
+    idx = np.cumsum(gaps)
+    sizes = st.lists(st.floats(-3.0, 3.0, allow_subnormal=False),
+                     min_size=idx.size, max_size=idx.size)
+    grid = TimeGrid(1.0, int(idx[-1]) + draw(st.integers(0, m + 3)))
+    x_sizes, y_sizes = np.array(draw(sizes)), np.array(draw(sizes))
+    X, Y = (step_path(grid, dict(zip(idx.tolist(), s.tolist()))) for s in (x_sizes, y_sizes))
+    return X, Y, m
+
+
+class TestEstimatorProperties:
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(pair=path_pairs(), top=st.integers(1, 4))
+    def test_covariation_limit_is_bitwise_symmetric(self, pair, top):
+        X, Y = pair
+        sched = schedule_for(X.grid, top)
+        xy, yx = covariation_limit(X, Y, sched), covariation_limit(Y, X, sched)
+        assert np.array_equal(xy.trajectories, yx.trajectories)
+        assert xy.error_estimate == yx.error_estimate
+        assert xy.converged == yx.converged
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(pair=path_pairs(), top=st.integers(1, 4))
+    def test_self_brackets_are_nonnegative(self, pair, top):
+        for X in pair:
+            est = covariation_limit(X, X, schedule_for(X.grid, top))
+            assert np.all(est.trajectories >= 0.0)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(case=separated_step_paths())
+    def test_step_paths_with_isolated_jumps_are_exact(self, case):
+        X, Y, m = case
+        want = np.cumsum(X.node_jumps() * Y.node_jumps())
+        for k in range(1, m + 1):
+            got = covariation_eps(X, Y, k * X.grid.dt)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(rows=st.integers(1, 5), n1=st.integers(2, 30), m=st.integers(1, 32),
+           data=st.data())
+    def test_qv_eps_rows_equal_single_rows(self, rows, n1, m, data):
+        stack = np.array(data.draw(st.lists(
+            st.lists(values_st, min_size=n1, max_size=n1), min_size=rows, max_size=rows)))
+        got = _qv_eps(stack, m)
+        for r in range(rows):
+            assert np.array_equal(got[r], _qv_eps(stack[r].copy(), m))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(bars=st.lists(st.tuples(st.floats(0.0, 1e3), st.booleans()), min_size=1, max_size=4),
+           pair=path_pairs(max_nodes=8))
+    def test_identity_report_sums_error_bars_and_needs_every_estimate(self, bars, pair):
+        lhs, rhs = pair[0].values, pair[1].values
+        grid = pair[0].grid
+        estimates = [
+            CovariationEstimate(grid, np.ones(1), lhs[None], lhs, err, np.empty(0), ok)
+            for err, ok in bars
+        ]
+        rep = _identity_report("property", lhs, rhs, estimates)
+        want = 0.0
+        for err, _ in bars:
+            want += err
+        assert rep.error_estimate == want
+        assert rep.converged == all(ok for _, ok in bars)
+        assert rep.sup_distance == float(np.max(np.abs(lhs - rhs)))
+        assert rep.precondition_ok and rep.lhs is lhs and rep.rhs is rhs

@@ -17,7 +17,6 @@ from dirichlet_reg import (
     UniformJumps,
     law_expectation,
     simulate_batch,
-    simulate_ensemble,
     simulate_path,
 )
 from dirichlet_reg.simulate import _fgn_unit
@@ -81,15 +80,15 @@ class TestDeterminism:
     def test_ensembles_bitwise_identical(self):
         grid = TimeGrid(1.0, 200)
         model = CompoundPoisson(2.0, UniformJumps(-1.0, 1.0))
-        e1 = simulate_ensemble(model, grid, 7, 5)
-        e2 = simulate_ensemble(model, grid, 7, 5)
-        for a, b in zip(e1, e2):
+        b1 = simulate_batch(model, grid, 7, range(5))
+        b2 = simulate_batch(model, grid, 7, range(5))
+        for a, b in zip(map(b1.path, range(5)), map(b2.path, range(5))):
             assert np.array_equal(a.values, b.values)
 
     def test_single_path_ensemble_is_path_index_zero(self):
         grid = TimeGrid(1.0, 200)
         model = BrownianMotion(1.0)
-        (only,) = simulate_ensemble(model, grid, 11, 1)
+        only = simulate_batch(model, grid, 11, range(1)).path(0)
         direct = simulate_path(model, grid, SeedSpec(11, 0))
         assert np.array_equal(only.values, direct.values)
 
