@@ -183,9 +183,8 @@ class CharacteristicsModel:
         return out
 
     def bk_path(self, path: CadlagPath) -> CadlagPath:
-        return CadlagPath.from_node_jumps(
-            path.grid, self.bk_values(path), self._atom_steps(path.grid)
-        )
+        steps = self._atom_steps(path.grid) if self.fixed_atoms else None
+        return CadlagPath(path.grid, self.bk_values(path), steps)
 
 
 def _fbm_sum_fn(names: Sequence[str]) -> Callable[[CadlagPath | PathBatch], np.ndarray]:
@@ -304,7 +303,7 @@ def decompose(
 ) -> Decomposition:
     """Split X into continuous, compensated-jump, drift and large-jump parts.
 
-    The jump parts come from the registry, the drift part from the model's
+    The jump parts come from X's jumps, the drift part from the model's
     characteristics (including fractional component logs where the drift is
     path dependent); the continuous part is the remainder, so the four parts
     reproduce X at every node by construction.
@@ -313,12 +312,13 @@ def decompose(
     grid = X.grid
     times = grid.times()
 
-    kj = np.zeros(grid.n_nodes)
-    kj[X.jump_indices] = chars.truncation(X.jump_sizes)
-    lj = X.node_jumps() - kj
+    idx = X.jump_indices
+    kj, lj = np.zeros(grid.n_nodes), np.zeros(grid.n_nodes)
+    kj[idx] = chars.truncation(X.jumps[idx]) + 0.0  # + 0.0 turns -0.0 into 0.0
+    lj[idx] = X.jumps[idx] - kj[idx]
     lam_k = chars.compensator_k_rate()
-    mdk = CadlagPath.from_node_jumps(grid, np.cumsum(kj) - lam_k * times, kj)
-    large = CadlagPath.from_node_jumps(grid, np.cumsum(lj), lj)
+    mdk = CadlagPath(grid, np.cumsum(kj) - lam_k * times, kj)
+    large = CadlagPath(grid, np.cumsum(lj), lj)
     bk = chars.bk_path(X)
     xc_values = X.values - (mdk.values + bk.values + large.values)
     xc = CadlagPath(grid, xc_values)

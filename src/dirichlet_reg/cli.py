@@ -20,6 +20,7 @@ import datetime
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -103,11 +104,28 @@ def _validator():
     return jsonschema.validators.validator_for(schema)(schema)
 
 
+def _non_finite_key(obj, key: str = "") -> str | None:
+    """The key of the first NaN or infinity in a JSON value, if it holds one."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else key
+    if isinstance(obj, dict):
+        items = ((f"{key}.{k}" if key else k, v) for k, v in obj.items())
+    elif isinstance(obj, list):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_non_finite_key(v, k) for k, v in items)), None)
+
+
 def _validate(cfg: dict, what: str) -> None:
-    """Raises what ``jsonschema.validate`` would, as a config error."""
+    """Raises what ``jsonschema.validate`` would, as a config error; then
+    rejects NaN and infinities, which the schema's bounds let through."""
     error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
     if error is not None:
         raise ConfigError(f"{what} violates schema: {error.message}")
+    key = _non_finite_key(cfg)
+    if key is not None:
+        raise ConfigError(f"{what} has a non-finite number at {key}")
 
 
 def load_config(path: str) -> dict:
@@ -224,7 +242,9 @@ def _source_path(cfg: dict, grid: TimeGrid) -> CadlagPath:
             try:
                 i = grid.index_of(jt)
                 values = np.where(np.arange(grid.n_nodes) >= i, js, 0.0)
-                return CadlagPath(grid, values, np.array([i]), np.array([js]))
+                if js == 0:
+                    raise ValueError("jump_size must be nonzero")
+                return CadlagPath.from_jumps(grid, values, {i: js})
             except ValueError as exc:
                 raise ConfigError(f"bad heaviside fixture: {exc}") from exc
         if name == "white_noise":

@@ -1,9 +1,8 @@
-"""Cadlag trajectories sampled on a uniform grid, with explicit jump bookkeeping.
+"""Cadlag trajectories sampled on a uniform grid, with the jump at every node.
 
 The storage convention is right-continuous: ``values[i]`` is the value at
-``t_i`` *including* any jump registered at ``t_i``.  Left limits are derived
-from the jump registry, never stored.  Jumps live exactly on grid nodes, with
-indices in ``(0, n_steps]``.
+``t_i`` *including* the jump ``jumps[i]`` at ``t_i``, so left limits are
+``values - jumps``.  Jumps live exactly on grid nodes, never at node 0.
 """
 
 from __future__ import annotations
@@ -74,85 +73,62 @@ class TimeGrid:
         return i
 
 
-def _as_jump_arrays(jumps) -> tuple[np.ndarray, np.ndarray]:
-    if jumps is None:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    if isinstance(jumps, dict):
-        items = sorted(jumps.items())
-        idx = np.array([i for i, _ in items], dtype=np.int64)
-        sz = np.array([s for _, s in items], dtype=np.float64)
-        return idx, sz
-    jumps = list(jumps)
-    idx = np.array([i for i, _ in jumps], dtype=np.int64)
-    sz = np.array([s for _, s in jumps], dtype=np.float64)
-    return idx, sz
-
-
 @dataclass(frozen=True)
 class CadlagPath:
-    """Sampled cadlag trajectory with an explicit jump registry.
+    """Sampled cadlag trajectory with its jump at every node.
 
-    ``jump_indices`` are strictly increasing node indices in ``(0, n_steps]``;
-    ``jump_sizes[j]`` is ``X_{t_i} - X_{t_i-}`` at ``i = jump_indices[j]`` and
-    must be nonzero.
+    ``jumps[i]`` is ``X_{t_i} - X_{t_i-}``, +0.0 (never -0.0) where the path
+    does not jump and always at node 0.  Without ``jumps`` the path is
+    continuous, and ``jumps`` is a read-only zero-stride view (no row is
+    allocated).
     """
 
     grid: TimeGrid
     values: np.ndarray
-    jump_indices: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    jump_sizes: np.ndarray = field(default_factory=lambda: np.empty(0, np.float64))
+    jumps: np.ndarray | None = None
     components: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        shape = (self.grid.n_nodes,)
         values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (self.grid.n_nodes,):
-            raise ValueError(
-                f"values must have shape ({self.grid.n_nodes},), got {values.shape}"
-            )
-        idx = np.asarray(self.jump_indices, dtype=np.int64)
-        sz = np.asarray(self.jump_sizes, dtype=np.float64)
-        if idx.shape != sz.shape:
-            raise ValueError("jump indices and sizes must have equal length")
-        if idx.size:
-            if np.any(np.diff(idx) <= 0):
-                raise ValueError("jump indices must be strictly increasing")
-            if idx[0] < 1 or idx[-1] > self.grid.n_steps:
-                raise ValueError("jump indices must lie in (0, n_steps]")
-            if np.any(sz == 0.0):
-                raise ValueError("registered jump sizes must be nonzero")
-        for name, arr in (("values", values), ("jump_indices", idx), ("jump_sizes", sz)):
+        jumps = (np.broadcast_to(np.float64(0.0), shape) if self.jumps is None
+                 else np.asarray(self.jumps, dtype=np.float64))
+        for name, arr in (("values", values), ("jumps", jumps)):
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @classmethod
     def from_jumps(cls, grid: TimeGrid, values, jumps) -> "CadlagPath":
-        idx, sz = _as_jump_arrays(jumps)
-        keep = sz != 0.0
-        return cls(grid, np.asarray(values, np.float64), idx[keep], sz[keep])
+        """Path with the jump registry ``jumps``: an ``{index: size}`` mapping or
+        (index, size) pairs, indices strictly increasing in ``(0, n_steps]``.
+        A zero size is no jump."""
+        pairs = sorted(jumps.items()) if isinstance(jumps, dict) else list(jumps or ())
+        idx = np.array([i for i, _ in pairs], dtype=np.int64)
+        sizes = np.array([s for _, s in pairs], dtype=np.float64)
+        if np.any(np.diff(idx) <= 0):
+            raise ValueError("jump indices must be strictly increasing")
+        if idx.size and (idx[0] < 1 or idx[-1] > grid.n_steps):
+            raise ValueError("jump indices must lie in (0, n_steps]")
+        keep = sizes != 0.0
+        node_jumps = np.zeros(grid.n_nodes)
+        node_jumps[idx[keep]] = sizes[keep]
+        return cls(grid, values, node_jumps)
 
-    @classmethod
-    def from_node_jumps(cls, grid: TimeGrid, values, node_jumps,
-                        components: dict | None = None) -> "CadlagPath":
-        """Path whose registry holds the nonzero entries of ``node_jumps``, the
-        jump at every node (zero where there is none)."""
-        idx = np.flatnonzero(node_jumps)
-        return cls(grid, values, idx, node_jumps[idx], components)
+    @property
+    def jump_indices(self) -> np.ndarray:
+        """Nodes where the path jumps, in increasing order."""
+        return np.flatnonzero(self.jumps)
 
-    def jump_at_index(self, i: int) -> float:
-        pos = np.searchsorted(self.jump_indices, i)
-        if pos < self.jump_indices.size and self.jump_indices[pos] == i:
-            return float(self.jump_sizes[pos])
-        return 0.0
-
-    def node_jumps(self) -> np.ndarray:
-        """The jump at every node, zero where there is none."""
-        out = np.zeros(self.grid.n_nodes)
-        out[self.jump_indices] = self.jump_sizes
-        return out
+    @property
+    def jump_sizes(self) -> np.ndarray:
+        """The jumps at ``jump_indices``."""
+        return self.jumps[self.jump_indices]
 
     def left_values(self) -> np.ndarray:
         """Left limits X_{t_i-} at every node (X_{0-} := X_0)."""
-        return self.values - self.node_jumps()
+        return self.values - self.jumps
 
     def eval(self, t: float, side: str = "right") -> float:
         """Value at grid time ``t``; ``side='left'`` gives the left limit."""
@@ -160,9 +136,7 @@ class CadlagPath:
         if side == "right":
             return float(self.values[i])
         if side == "left":
-            if i == 0:
-                return float(self.values[0])
-            return float(self.values[i] - self.jump_at_index(i))
+            return float(self.values[i] - self.jumps[i])
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
     def jump_times(self) -> np.ndarray:
@@ -170,24 +144,22 @@ class CadlagPath:
 
     def squared_jump_trajectory(self) -> np.ndarray:
         """Cumulative sum of squared jumps, evaluated at every node."""
-        return np.cumsum(self.node_jumps() ** 2)
+        return np.cumsum(self.jumps ** 2)
 
     def map(self, f: Callable[[np.ndarray], np.ndarray]) -> "CadlagPath":
-        """Image path f(X) with the induced jump registry (zero jumps dropped)."""
+        """Image path f(X) with the induced jumps (zero where f(X) does not jump)."""
         new_values = np.asarray(f(self.values), dtype=np.float64)
-        if self.jump_indices.size:
-            left = self.values[self.jump_indices] - self.jump_sizes
-            new_sizes = new_values[self.jump_indices] - np.asarray(f(left), np.float64)
-            keep = new_sizes != 0.0
-            return CadlagPath(
-                self.grid, new_values, self.jump_indices[keep], new_sizes[keep]
-            )
-        return CadlagPath(self.grid, new_values)
+        idx = self.jump_indices
+        if not idx.size:
+            return CadlagPath(self.grid, new_values)
+        left = np.asarray(f(self.values[idx] - self.jumps[idx]), np.float64)
+        jumps = np.zeros(self.grid.n_nodes)
+        jumps[idx] = new_values[idx] - left + 0.0  # + 0.0 turns -0.0 into 0.0
+        return CadlagPath(self.grid, new_values, jumps)
 
     def to_csv(self, path) -> None:
         """Write ``t,value,jump`` rows (exact round trip, see ``_write_csv``)."""
-        _write_csv(path, ["t", "value", "jump"],
-                   self.grid.times(), self.values, self.node_jumps())
+        _write_csv(path, ["t", "value", "jump"], self.grid.times(), self.values, self.jumps)
 
     @classmethod
     def from_csv(cls, path) -> "CadlagPath":
@@ -197,7 +169,10 @@ class CadlagPath:
         grid = TimeGrid(T=float(times[-1]), n_steps=n)
         if not np.max(np.abs(times - grid.times())) <= 1e-9 * grid.dt:
             raise ValueError(f"times in {path} are not the uniform {n}-step grid on [0, {grid.T}]")
-        return cls.from_node_jumps(grid, values, jumps)
+        if jumps[0] != 0.0:
+            raise ValueError("jump indices must lie in (0, n_steps]")
+        jumps += 0.0  # a "-0" jump is no jump
+        return cls(grid, values, jumps)
 
 
 @dataclass(frozen=True)
@@ -223,7 +198,7 @@ class PathBatch:
         parts = None if self.components is None else {
             name: part.path(j) for name, part in self.components.items()
         }
-        return CadlagPath.from_node_jumps(self.grid, self.values[j], self.jumps[j], parts)
+        return CadlagPath(self.grid, self.values[j], self.jumps[j], parts)
 
 
 def _write_csv(path, header: Sequence[str], *columns) -> None:
@@ -262,12 +237,9 @@ class JumpMeasure:
 
 
 def extract_jumps(path: CadlagPath) -> JumpMeasure:
-    """Jump measure atoms (time, size) registered on the path."""
-    return JumpMeasure(
-        times=path.jump_times(),
-        sizes=np.array(path.jump_sizes),
-        indices=np.array(path.jump_indices),
-    )
+    """Jump measure atoms (time, size) of the path."""
+    idx = path.jump_indices
+    return JumpMeasure(times=idx * path.grid.dt, sizes=path.jumps[idx], indices=idx)
 
 
 def star_integral(
@@ -292,12 +264,12 @@ def star_integral(
 
 
 def combine(a: float, X: CadlagPath, b: float, Y: CadlagPath) -> CadlagPath:
-    """Linear combination a*X + b*Y; cancelled (zero) jumps are dropped."""
+    """Linear combination a*X + b*Y; a cancelled jump is no jump."""
     if X.grid != Y.grid:
         raise GridMismatchError("paths live on different grids")
-    return CadlagPath.from_node_jumps(
-        X.grid, a * X.values + b * Y.values, a * X.node_jumps() + b * Y.node_jumps()
-    )
+    jumps = a * X.jumps + b * Y.jumps
+    jumps += 0.0  # -0.0 (from -1 * 0.0) is no jump
+    return CadlagPath(X.grid, a * X.values + b * Y.values, jumps)
 
 
 def constant_path(grid: TimeGrid, value: float) -> CadlagPath:
@@ -305,5 +277,5 @@ def constant_path(grid: TimeGrid, value: float) -> CadlagPath:
 
 
 def path_from_function(grid: TimeGrid, f: Callable[[np.ndarray], np.ndarray]) -> CadlagPath:
-    """Continuous path sampled as f(t_i), empty jump registry."""
+    """Continuous path sampled as f(t_i)."""
     return CadlagPath(grid, np.asarray(f(grid.times()), dtype=np.float64))

@@ -228,7 +228,7 @@ class QvDecomposition:
 
 
 def qv_decompose(X: CadlagPath, schedule: EpsilonSchedule) -> QvDecomposition:
-    """Continuous / jump split of [X, X]: jump part from the registry, exactly."""
+    """Continuous / jump split of [X, X]: jump part from the jumps, exactly."""
     est = covariation_limit(X, X, schedule)
     jump = X.squared_jump_trajectory()
     return QvDecomposition(continuous=est.limit - jump, jump=jump, estimate=est)
@@ -289,7 +289,7 @@ def pure_jump_covariation_check(
         f"continuous bracket of first path is {cont_sup:.3g}, above tolerance {tol:.3g}"
     )
     est = covariation_limit(Y, Z, schedule)
-    rhs = np.cumsum(Y.node_jumps() * Z.node_jumps())
+    rhs = np.cumsum(Y.jumps * Z.jumps)
     return _identity_report("pure-jump covariation", est.limit, rhs, (est,), pre_ok, note)
 
 
@@ -325,13 +325,13 @@ def smooth_map_cross_check(
         int phi'(X1_s) psi'(X2_{s-}) d[X1,X2]^c_s + sum of phi/psi jump products.
     """
     cross = covariation_limit(X1, X2, schedule)
-    cross_jump = np.cumsum(X1.node_jumps() * X2.node_jumps())
+    cross_jump = np.cumsum(X1.jumps * X2.jumps)
     cross_cont = cross.limit - cross_jump
     img1, img2 = X1.map(phi), X2.map(psi)
     lhs_est = covariation_limit(img1, img2, schedule)
     g = np.asarray(dphi(X1.values), np.float64) * np.asarray(
         dpsi(X2.left_values()), np.float64
     )
-    img_jumps = np.cumsum(img1.node_jumps() * img2.node_jumps())
+    img_jumps = np.cumsum(img1.jumps * img2.jumps)
     rhs = _cumsum0(g[:-1] * np.diff(cross_cont)) + img_jumps
     return _identity_report("C1 cross-bracket stability", lhs_est.limit, rhs, (lhs_est, cross))

@@ -16,6 +16,7 @@ from dirichlet_reg import (
     LevyJumpDiffusion,
     SeedSpec,
     TimeGrid,
+    TruncationFunction,
     UniformJumps,
     combine,
     continuous_bracket_check,
@@ -130,6 +131,17 @@ class TestConvertTruncation:
 
 
 class TestDecompose:
+    def test_truncation_of_negative_zero_registers_no_jump(self):
+        # k(x) = -0.0 beyond the cutoff: the small-jump part has no jump there
+        grid = TimeGrid(1.0, 100)
+        k = TruncationFunction(lambda x: np.where(np.abs(x) <= 1.0, x, -0.0 * x), 1.0, 1.0, "neg")
+        values = np.where(np.arange(grid.n_nodes) >= 40, 2.0, 0.0)
+        X = CadlagPath.from_jumps(grid, values, {40: 2.0})
+        dec = decompose(X, CharacteristicsModel(truncation=k), k)
+        small = dec.compensated_jumps.jumps
+        assert not np.any(np.signbit(small) & (small == 0.0))
+        assert dec.large_jumps.jump_indices.tolist() == [40]
+
     def test_large_atom_compound_poisson(self):
         grid = TimeGrid(1.0, 2000)
         model = CompoundPoisson(1.0, DiscreteAtoms((2.0, -2.0), (0.5, 0.5)))
@@ -186,7 +198,7 @@ class TestDecompose:
         grid = TimeGrid(1.0, 500)
         model = Composite((BrownianMotion(1.0), FractionalBrownianMotion(0.7, 0.5)))
         X = simulate_path(model, grid, SeedSpec(9, 0))
-        bare = CadlagPath(grid, X.values, X.jump_indices, X.jump_sizes)
+        bare = CadlagPath(grid, X.values, X.jumps)
         with pytest.raises(ComponentLogError):
             decompose(bare, model, STD)
 
@@ -234,7 +246,7 @@ class TestDriftJump:
         bk = chars.bk_path(X)
         for t in (0.25, 0.75):
             i = grid.index_of(t)
-            assert bk.jump_at_index(i) == pytest.approx(drift_jump(chars, STD, t))
+            assert bk.jumps[i] == pytest.approx(drift_jump(chars, STD, t))
 
 
 class TestBracketIdentities:

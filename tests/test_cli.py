@@ -65,8 +65,8 @@ class TestBadInput:
     GRID = {"horizon": 1.0, "steps": 100}
     BM = {"kind": "brownian", "sigma": 1.0}
 
-    def check_rejected(self, tmp_path, command, cfg, capsys):
-        code, out = run(tmp_path, command, cfg)
+    def check_rejected(self, tmp_path, command, cfg, capsys, extra=()):
+        code, out = run(tmp_path, command, cfg, extra=extra)
         err = capsys.readouterr().err
         assert code == 2
         assert "config error:" in err
@@ -155,6 +155,29 @@ class TestBadInput:
                "integrand": integrand, "eps_multiples": [1]}
         self.check_rejected(tmp_path, command, cfg, capsys)
 
+    NAN, INF = float("nan"), float("inf")
+    NON_FINITE = {
+        "residual_time": ("residual", {"times": [NAN]}, (), "times[0]"),
+        "horizon": ("simulate", {"grid": {"horizon": NAN, "steps": 100}}, (), "grid.horizon"),
+        "horizon_flag": ("qv", {}, ("--horizon", "nan"), "grid.horizon"),
+        "rate": ("simulate", {"model": {"kind": "compound_poisson", "rate": INF, "law": {
+            "kind": "discrete", "values": [1.0], "probabilities": [1.0]}}}, (), "model.rate"),
+        "sigma": ("simulate", {"model": {"kind": "brownian", "sigma": NAN}}, (), "model.sigma"),
+        "alpha_se_flag": ("residual", {}, ("--alpha-se", "nan"), "alpha_se"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, case):
+        command, changes, extra, key = self.NON_FINITE[case]
+        cfg = {"grid": self.GRID, "paths": 10, "model": self.BM, **changes}
+        err = self.check_rejected(tmp_path, command, cfg, capsys, extra)
+        assert f"non-finite number at {key}\n" in err
+
+    def test_zero_size_heaviside_fixture_exits_2(self, tmp_path, capsys):
+        cfg = {"grid": self.GRID, "source": {"kind": "fixture", "name": "heaviside",
+                                             "jump_size": 0.0}}
+        assert "bad heaviside fixture" in self.check_rejected(tmp_path, "qv", cfg, capsys)
+
     def test_non_uniform_csv_times_exit_2(self, tmp_path, capsys):
         src = tmp_path / "p.csv"
         src.write_text("t,value,jump\n0,0,0\n0.1,1,1\n0.5,2,1\n1.0,3,1\n")
@@ -203,7 +226,7 @@ class TestQv:
         grid = TimeGrid(1.0, 100)
         i = grid.index_of(0.5)
         vals = np.where(np.arange(grid.n_nodes) >= i, 2.0, 0.0)
-        p = CadlagPath(grid, vals, np.array([i]), np.array([2.0]))
+        p = CadlagPath.from_jumps(grid, vals, {i: 2.0})
         src = tmp_path / "p.csv"
         p.to_csv(src)
         cfg = {

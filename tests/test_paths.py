@@ -17,7 +17,7 @@ from dirichlet_reg import (
 def heaviside(grid: TimeGrid, jump_time=0.5, size=1.0) -> CadlagPath:
     i = grid.index_of(jump_time)
     values = np.where(np.arange(grid.n_nodes) >= i, size, 0.0)
-    return CadlagPath(grid, values, np.array([i]), np.array([size]))
+    return CadlagPath.from_jumps(grid, values, {i: size})
 
 
 @pytest.fixture
@@ -53,30 +53,34 @@ class TestEval:
     def test_jump_is_right_minus_left_everywhere(self, grid):
         rng = np.random.default_rng(0)
         values = rng.standard_normal(grid.n_nodes)
-        idx = np.array([10, 40, 77])
-        sizes = np.array([1.5, -0.3, 0.25])
-        p = CadlagPath(grid, values, idx, sizes)
+        p = CadlagPath.from_jumps(grid, values, {10: 1.5, 40: -0.3, 77: 0.25})
         for i in range(grid.n_nodes):
             t = i * grid.dt
             gap = p.eval(t, "right") - p.eval(t, "left")
-            expected = p.jump_at_index(i) if i > 0 else 0.0
-            assert gap == pytest.approx(expected, abs=1e-14)
+            assert gap == pytest.approx(p.jumps[i], abs=1e-14)
 
 
 class TestJumpRegistry:
-    def test_validation_rejects_zero_sizes(self, grid):
-        with pytest.raises(ValueError):
-            CadlagPath(grid, np.zeros(grid.n_nodes), np.array([5]), np.array([0.0]))
+    def test_validation_drops_zero_sizes(self, grid):
+        p = CadlagPath.from_jumps(grid, np.zeros(grid.n_nodes), {5: 0.0, 7: -0.0})
+        assert p.jump_indices.size == 0
+        assert not np.any(np.signbit(p.jumps))
 
     def test_validation_rejects_index_zero(self, grid):
         with pytest.raises(ValueError):
-            CadlagPath(grid, np.zeros(grid.n_nodes), np.array([0]), np.array([1.0]))
+            CadlagPath.from_jumps(grid, np.zeros(grid.n_nodes), {0: 1.0})
+
+    def test_validation_rejects_index_beyond_last_node(self, grid):
+        with pytest.raises(ValueError):
+            CadlagPath.from_jumps(grid, np.zeros(grid.n_nodes), {grid.n_nodes: 1.0})
 
     def test_validation_rejects_unsorted(self, grid):
         with pytest.raises(ValueError):
-            CadlagPath(
-                grid, np.zeros(grid.n_nodes), np.array([7, 3]), np.array([1.0, 1.0])
-            )
+            CadlagPath.from_jumps(grid, np.zeros(grid.n_nodes), [(7, 1.0), (3, 1.0)])
+
+    def test_validation_rejects_repeated_index(self, grid):
+        with pytest.raises(ValueError):
+            CadlagPath.from_jumps(grid, np.zeros(grid.n_nodes), [(7, 1.0), (7, 2.0)])
 
     def test_extract_jumps_heaviside(self, grid):
         mu = extract_jumps(heaviside(grid))
@@ -180,11 +184,42 @@ class TestCombine:
         assert dict(zip(c.jump_indices, c.jump_sizes)) == {10: 1.0, 30: 1.0}
 
 
+def has_negative_zero(p: CadlagPath) -> bool:
+    return bool(np.any(np.signbit(p.jumps) & (p.jumps == 0.0)))
+
+
+class TestNoNegativeZeroJumps:
+    """A jump of -0.0 is no jump: left limits keep the sign of every value."""
+
+    def test_combine_of_negated_paths(self, grid):
+        z = combine(-1.0, heaviside(grid), -1.0, path_from_function(grid, np.sin))
+        assert not has_negative_zero(z)
+        assert list(z.jump_indices) == [grid.index_of(0.5)]
+
+    @pytest.mark.parametrize("f", [np.sin, lambda v: v * 0.0], ids=["sin", "times_zero"])
+    def test_map_of_a_path_at_negative_zero(self, grid, f):
+        # a -1 jump from 1 down to -0.0, then a -1 jump down to -1
+        values = np.where(np.arange(grid.n_nodes) >= 30, -0.0, 1.0)
+        values[60:] = -1.0
+        p = CadlagPath.from_jumps(grid, values, {30: -1.0, 60: -1.0})
+        img = p.map(f)
+        assert not has_negative_zero(img)
+        assert np.array_equal(img.jumps != 0.0, f(p.values) != f(p.left_values()))
+
+    def test_csv_jump_of_negative_zero(self, tmp_path):
+        f = tmp_path / "path.csv"
+        f.write_text("t,value,jump\n0,0,0\n0.5,-0,-0\n1,1,1\n")
+        p = CadlagPath.from_csv(f)
+        assert not has_negative_zero(p)
+        assert list(p.jump_indices) == [2]
+        assert np.signbit(p.left_values()[1])
+
+
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path, grid):
         rng = np.random.default_rng(3)
         values = np.cumsum(rng.standard_normal(grid.n_nodes)) * 0.1
-        p = CadlagPath(grid, values, np.array([13, 50]), np.array([np.pi, -1 / 3]))
+        p = CadlagPath.from_jumps(grid, values, {13: np.pi, 50: -1 / 3})
         f = tmp_path / "path.csv"
         p.to_csv(f)
         q = CadlagPath.from_csv(f)
@@ -192,6 +227,12 @@ class TestCsvRoundTrip:
         assert np.array_equal(q.values, p.values)
         assert np.array_equal(q.jump_indices, p.jump_indices)
         assert np.array_equal(q.jump_sizes, p.jump_sizes)
+
+    def test_rejects_jump_at_time_zero(self, tmp_path):
+        f = tmp_path / "path.csv"
+        f.write_text("t,value,jump\n0,1,1\n0.5,1,0\n1,1,0\n")
+        with pytest.raises(ValueError, match="n_steps"):
+            CadlagPath.from_csv(f)
 
     def test_rejects_non_uniform_times(self, tmp_path):
         f = tmp_path / "path.csv"

@@ -26,13 +26,13 @@ from dirichlet_reg import (
     smooth_map_cross_check,
     smooth_map_qv_check,
 )
-from dirichlet_reg.regularize import _identity_report, _qv_eps
+from dirichlet_reg.regularize import _fwd_eps, _identity_report, _qv_eps
 
 
 def heaviside(grid, jump_time=0.5, size=1.0):
     i = grid.index_of(jump_time)
     values = np.where(np.arange(grid.n_nodes) >= i, size, 0.0)
-    return CadlagPath(grid, values, np.array([i]), np.array([size]))
+    return CadlagPath.from_jumps(grid, values, {i: size})
 
 
 def step_path(grid, jumps):
@@ -324,6 +324,27 @@ def separated_step_paths(draw):
     return X, Y, m
 
 
+def cents(top):
+    """Multiples of 0.01 in [-top/100, top/100]: no magnitude so small that it underflows."""
+    return st.integers(-top, top).map(lambda k: k / 100)
+
+
+@st.composite
+def jump_path_triples(draw, max_nodes=40):
+    """Three random walks on one grid, each with jumps at a few random nodes."""
+    n1 = draw(st.integers(4, max_nodes))
+    grid = TimeGrid(1.0, n1 - 1)
+    paths = []
+    for _ in range(3):
+        steps = np.array(draw(st.lists(cents(300), min_size=n1, max_size=n1)))
+        nodes = draw(st.sets(st.integers(1, n1 - 1), max_size=4))
+        sizes = draw(st.lists(cents(500), min_size=len(nodes), max_size=len(nodes)))
+        jumps = dict(zip(sorted(nodes), sizes))
+        steps[list(jumps)] += sizes
+        paths.append(CadlagPath.from_jumps(grid, np.cumsum(steps), jumps))
+    return tuple(paths)
+
+
 class TestEstimatorProperties:
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(pair=path_pairs(), top=st.integers(1, 4))
@@ -346,7 +367,7 @@ class TestEstimatorProperties:
     @given(case=separated_step_paths())
     def test_step_paths_with_isolated_jumps_are_exact(self, case):
         X, Y, m = case
-        want = np.cumsum(X.node_jumps() * Y.node_jumps())
+        want = np.cumsum(X.jumps * Y.jumps)
         for k in range(1, m + 1):
             got = covariation_eps(X, Y, k * X.grid.dt)
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -360,6 +381,29 @@ class TestEstimatorProperties:
         got = _qv_eps(stack, m)
         for r in range(rows):
             assert np.array_equal(got[r], _qv_eps(stack[r].copy(), m))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(rows=st.integers(1, 5), n1=st.integers(2, 30), m=st.integers(1, 32),
+           data=st.data())
+    def test_fwd_eps_rows_equal_single_rows(self, rows, n1, m, data):
+        stacks = st.lists(st.lists(values_st, min_size=n1, max_size=n1),
+                          min_size=rows, max_size=rows)
+        vy, vx = np.array(data.draw(stacks)), np.array(data.draw(stacks))
+        got = _fwd_eps(vy, vx, m)
+        for r in range(rows):
+            assert np.array_equal(got[r], _fwd_eps(vy[r].copy(), vx[r].copy(), m))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(case=jump_path_triples(), a=cents(1000), b=cents(1000), top=st.integers(1, 4))
+    def test_covariation_limit_is_bilinear(self, case, a, b, top):
+        X, Y, Z = case
+        sched = schedule_for(X.grid, top)
+        cov = lambda U, V: covariation_limit(U, V, sched).trajectories
+        got = cov(combine(a, X, b, Y), Z)
+        want = a * cov(X, Z) + b * cov(Y, Z)
+        # each increment of a polarized sum rounds relative to the path values
+        size = sum(np.max(np.abs(v)) for v in (a * X.values, b * Y.values, Z.values))
+        assert np.max(np.abs(got - want)) <= 1e-12 * X.grid.n_nodes * size**2
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(bars=st.lists(st.tuples(st.floats(0.0, 1e3), st.booleans()), min_size=1, max_size=4),

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirichlet_reg import (
+    CadlagPath,
     BrownianMotion,
     Composite,
     CompoundPoisson,
@@ -127,6 +128,20 @@ def assert_same_path(a, b):
     for name in ("values", "jump_indices", "jump_sizes"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert np.array_equal(a.left_values(), b.left_values())
+
+
+class TestJumpRegistryRoundTrip:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(master_seed=st.integers(0, 2**64 - 1), n=st.integers(1, 64))
+    def test_from_jumps_of_the_registry_is_the_path(self, family, master_seed, n):
+        grid = TimeGrid(1.0, n)
+        p = simulate_path(FAMILIES[family], grid, SeedSpec(master_seed, 0))
+        q = CadlagPath.from_jumps(grid, p.values, dict(zip(p.jump_indices, p.jump_sizes)))
+        # bytes, so that a -0.0 where +0.0 belongs counts as a difference
+        for name in ("values", "jumps"):
+            assert getattr(q, name).tobytes() == getattr(p, name).tobytes()
+        assert q.left_values().tobytes() == p.left_values().tobytes()
 
 
 class TestBatch:
