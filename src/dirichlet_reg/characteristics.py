@@ -317,8 +317,9 @@ def decompose(
     kj[idx] = chars.truncation(X.jumps[idx]) + 0.0  # + 0.0 turns -0.0 into 0.0
     lj[idx] = X.jumps[idx] - kj[idx]
     lam_k = chars.compensator_k_rate()
-    mdk = CadlagPath(grid, np.cumsum(kj) - lam_k * times, kj)
-    large = CadlagPath(grid, np.cumsum(lj), lj)
+    # a part without jumps keeps no dense zero jump row
+    mdk = CadlagPath(grid, np.cumsum(kj) - lam_k * times, kj if kj.any() else None)
+    large = CadlagPath(grid, np.cumsum(lj), lj if lj.any() else None)
     bk = chars.bk_path(X)
     xc_values = X.values - (mdk.values + bk.values + large.values)
     xc = CadlagPath(grid, xc_values)

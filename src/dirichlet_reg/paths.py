@@ -7,7 +7,7 @@ The storage convention is right-continuous: ``values[i]`` is the value at
 
 from __future__ import annotations
 
-import csv
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -202,26 +202,25 @@ class PathBatch:
 
 
 def _write_csv(path, header: Sequence[str], *columns) -> None:
-    """Write equal-length numeric columns as CSV rows under ``header``, every
-    number with 17 significant digits (exact float64 round trip).  Rows are
-    formatted block by block, so memory does not grow with the file."""
-    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    """Write equal-length columns under ``header``, ``%.17g`` (exact) per number."""
+    table = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
+    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(0, columns[0].size, 4096):
-            block = zip(*(c[i:i + 4096].tolist() for c in columns))
-            w.writerows([f"{x:.17g}" for x in row] for row in block)
+        fh.write(",".join(header) + "\r\n")
+        for block in (table[i:i + 4096] for i in range(0, len(table), 4096)):
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _read_csv(path, header: Sequence[str]) -> np.ndarray:
     """The ``header`` columns of a CSV file as the contiguous rows of a float
-    array; a first row starting with ``header[0]`` is the header and is skipped."""
+    array; a first row whose first cell is ``header[0]`` is the header."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows and rows[0][:1] == [header[0]]:
-        rows = rows[1:]
-    return np.array([[float(x) for x in r[: len(header)]] for r in rows]).T.copy()
+        skip = int(fh.readline().split(",", 1)[0].strip('"\r\n') == header[0])
+        fh.seek(0)
+        if not any(line.rstrip("\r\n") for line in itertools.islice(fh, skip, None)):
+            raise ValueError(f"{path} holds no data rows")
+    return np.loadtxt(path, delimiter=",", comments=None, skiprows=skip,
+                      usecols=range(len(header)), ndmin=2, quotechar='"').T.copy()
 
 
 @dataclass(frozen=True)

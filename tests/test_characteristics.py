@@ -161,6 +161,21 @@ class TestDecompose:
         for part in (dec.compensated_jumps, dec.drift, dec.large_jumps):
             assert np.all(part.values == 0.0)
 
+    @pytest.mark.parametrize("model,with_jumps", [
+        (BrownianMotion(1.0), ()),
+        (CompoundPoisson(3.0, DiscreteAtoms((0.5, -0.5), (0.5, 0.5))), ("compensated_jumps",)),
+        (CompoundPoisson(3.0, DiscreteAtoms((2.0, -2.0), (0.5, 0.5))), ("large_jumps",)),
+    ], ids=["brownian", "small_jumps", "large_jumps"])
+    def test_jump_part_without_jumps_keeps_no_jump_row(self, model, with_jumps):
+        grid = TimeGrid(1.0, 2000)
+        X = simulate_path(model, grid, SeedSpec(3, 0))
+        assert (X.jump_indices.size > 0) == bool(with_jumps)
+        dec = decompose(X, model, STD)
+        for name in ("compensated_jumps", "large_jumps"):
+            jumps = getattr(dec, name).jumps
+            assert (jumps.strides == (0,)) == (name not in with_jumps)
+            assert np.any(jumps != 0.0) == (name in with_jumps)
+
     def test_jump_diffusion_reconstruction_and_component_log(self):
         grid = TimeGrid(1.0, 10_000)
         model = LevyJumpDiffusion(0.5, 1.0, 2.0, UniformJumps(-0.5, 0.5))

@@ -1,4 +1,5 @@
 import json
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -184,6 +185,28 @@ class TestBadInput:
         cfg = {"grid": {"horizon": 1.0, "steps": 3},
                "source": {"kind": "csv", "file": str(src)}, "eps_multiples": [1]}
         self.check_rejected(tmp_path, "qv", cfg, capsys)
+
+    def test_ragged_csv_row_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "p.csv"
+        src.write_text("t,value,jump\n0,0,0\n0.5,1\n1.0,3,0\n")
+        cfg = {"grid": {"horizon": 1.0, "steps": 2},
+               "source": {"kind": "csv", "file": str(src)}, "eps_multiples": [1]}
+        self.check_rejected(tmp_path, "qv", cfg, capsys)
+
+    NO_DATA = {"qv": ("t,value,jump", lambda f: {"source": {"kind": "csv", "file": f}}),
+               "recover": ("u,re,im", lambda f: {"recover": {"psi_csv": f}})}
+
+    @pytest.mark.parametrize("command", sorted(NO_DATA))
+    @pytest.mark.parametrize("text", ["", "{header}\r\n"], ids=["empty", "header_only"])
+    def test_csv_without_data_rows_exits_2(self, tmp_path, capsys, command, text):
+        header, section = self.NO_DATA[command]
+        src = tmp_path / "in.csv"
+        src.write_text(text.format(header=header), newline="")
+        cfg = {"grid": self.GRID, **section(str(src))}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self.check_rejected(tmp_path, command, cfg, capsys)
+        assert f"{src} holds no data rows" in err
 
 
 class TestQv:

@@ -1,5 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirichlet_reg import (
     CadlagPath,
@@ -12,6 +16,7 @@ from dirichlet_reg import (
     path_from_function,
     star_integral,
 )
+from dirichlet_reg.paths import _read_csv, _write_csv
 
 
 def heaviside(grid: TimeGrid, jump_time=0.5, size=1.0) -> CadlagPath:
@@ -247,3 +252,94 @@ class TestCsvRoundTrip:
         q = CadlagPath.from_csv(f)
         assert q.grid == TimeGrid(1.0, 10)
         assert np.array_equal(q.values, np.arange(11.0))
+
+
+def reference_write_csv(path, header, *columns) -> None:
+    """The csv-module writer, one f-string per number, that _write_csv replaces."""
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for i in range(0, columns[0].size, 4096):
+            block = zip(*(c[i:i + 4096].tolist() for c in columns))
+            w.writerows([f"{x:.17g}" for x in row] for row in block)
+
+
+EDGE_BITS = np.array([-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1e300, -1e-300,
+                      np.inf, -np.inf, np.nan, -np.nan, 1 / 3, 2.0**53 + 1]).view(np.uint64)
+
+
+@st.composite
+def float64_tables(draw):
+    """1-6 columns of 0, 1, 4095, 4096 or 4097 rows of any float64 bit pattern,
+    with the edge values and some drawn bit patterns (nan payloads, subnormals)
+    planted among random bits."""
+    rows = draw(st.sampled_from([0, 1, 4095, 4096, 4097]))
+    cols = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(0, 2**64, rows * cols, dtype=np.uint64)
+    planted = np.concatenate([EDGE_BITS, np.array(
+        draw(st.lists(st.integers(0, 2**64 - 1), max_size=16)), dtype=np.uint64)])
+    where = rng.integers(0, max(bits.size, 1), planted.size)
+    if bits.size:
+        bits[where] = planted
+    return bits.view(np.float64).reshape(cols, rows)
+
+
+class TestCsvFormat:
+    """_write_csv writes the bytes of the csv-module writer; _read_csv parses
+    them to the bits of ``float()`` per cell."""
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(table=float64_tables())
+    def test_writer_bytes_match_the_csv_module(self, tmp_path_factory, table):
+        d = tmp_path_factory.mktemp("csv")
+        header = [f"c{j}" for j in range(len(table))]
+        reference_write_csv(d / "ref.csv", header, *table)
+        _write_csv(d / "got.csv", header, *table)
+        assert (d / "got.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(table=float64_tables().filter(lambda t: t.shape[1] > 0))
+    def test_reader_bits_match_float_per_cell(self, tmp_path_factory, table):
+        f = tmp_path_factory.mktemp("csv") / "t.csv"
+        header = [f"c{j}" for j in range(len(table))]
+        _write_csv(f, header, *table)
+        with open(f, newline="") as fh:
+            cells = list(csv.reader(fh))[1:]
+        want = np.array([[float(x) for x in row] for row in cells]).T
+        got = _read_csv(f, header)
+        assert got.flags.c_contiguous
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestCsvReader:
+    HEADER = ["t", "value", "jump"]
+
+    def read(self, tmp_path, text):
+        f = tmp_path / "path.csv"
+        f.write_text(text, newline="")
+        return _read_csv(f, self.HEADER)
+
+    def test_quoted_header_and_number_parse(self, tmp_path):
+        got = self.read(tmp_path, '"t","value","jump"\r\n0.25,"1",0\r\n')
+        assert got.tolist() == [[0.25], [1.0], [0.0]]
+
+    def test_extra_columns_are_ignored(self, tmp_path):
+        got = self.read(tmp_path, "t,value,jump,note\r\n0,1,0,7\r\n1,2,1,8\r\n")
+        assert got.tolist() == [[0.0, 1.0], [1.0, 2.0], [0.0, 1.0]]
+
+    def test_file_without_header_reads_as_data(self, tmp_path):
+        got = self.read(tmp_path, "0,1,0\n1,2,1\n")
+        assert got.tolist() == [[0.0, 1.0], [1.0, 2.0], [0.0, 1.0]]
+
+    def test_blank_line_between_rows_is_skipped(self, tmp_path):
+        got = self.read(tmp_path, "t,value,jump\r\n0,1,0\r\n\r\n1,2,1\r\n\n")
+        assert got.tolist() == [[0.0, 1.0], [1.0, 2.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("text", ["", "t,value,jump\r\n", "t,value,jump\r\n\r\n", "\n"],
+                             ids=["empty", "header_only", "header_and_blank", "blank"])
+    def test_no_data_rows_raises_naming_the_file(self, tmp_path, text):
+        with pytest.raises(ValueError, match="path.csv holds no data rows"):
+            self.read(tmp_path, text)
