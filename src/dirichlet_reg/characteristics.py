@@ -114,6 +114,11 @@ def smooth_clip_truncation() -> TruncationFunction:
 FixedAtomSchedule = tuple[tuple[float, tuple[tuple[float, float], ...]], ...]
 
 
+def _atom_k_integral(k: TruncationFunction, atoms: tuple[tuple[float, float], ...]) -> float:
+    """Integral of k against one fixed atom entry ((x, weight), ...)."""
+    return sum(w * float(k(np.float64(x))) for x, w in atoms)
+
+
 @dataclass(frozen=True)
 class CharacteristicsModel:
     """Evaluators for the triplet (drift characteristic, C, compensator).
@@ -151,14 +156,8 @@ class CharacteristicsModel:
 
     def atom_k_integrals(self, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
         """(node indices, integral of k d nu({s} x dx)) for the fixed atoms."""
-        idx, vals = [], []
-        for s, atoms in self.fixed_atoms:
-            i = grid.index_of(s)
-            total = float(
-                sum(w * float(self.truncation(np.float64(x))) for x, w in atoms)
-            )
-            idx.append(i)
-            vals.append(total)
+        idx = [grid.index_of(s) for s, _ in self.fixed_atoms]
+        vals = [float(_atom_k_integral(self.truncation, atoms)) for _, atoms in self.fixed_atoms]
         return np.array(idx, dtype=np.int64), np.array(vals)
 
     def _atom_steps(self, grid: TimeGrid) -> np.ndarray:
@@ -347,7 +346,7 @@ def drift_jump(
     total = 0.0
     for s, atoms in chars.fixed_atoms:
         if abs(s - t) <= 1e-12 * max(1.0, abs(t)):
-            total += sum(w * float(chars.truncation(np.float64(x))) for x, w in atoms)
+            total += _atom_k_integral(chars.truncation, atoms)
     return total
 
 

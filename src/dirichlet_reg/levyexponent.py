@@ -308,26 +308,23 @@ def recover_triplet(
     x_max: float = 4.0,
     x_cells: int = 1024,
     weight_guard: float = 1e-3,
-    b_window: tuple[float, float] = (0.1, 1.0),
-    refine_dc: bool = True,
 ) -> RecoveredTriplet:
     """Reads (b, c, Lambda) back from sampled psi.
 
     The diffusion coefficient is the flat offset of phi_w over the admissible
-    u-window (a refinement subtracts the predicted window mean of the
-    jump-measure transform); Lambda comes from the direct-quadrature inverse
-    transform of the offset-free phi_w divided by the sinc weight, with cells
-    where the weight is below ``weight_guard`` flagged unrecovered; the drift
-    is the small-u average of Im(psi corrected by the recovered c and Lambda)/u.
+    u-window, less the predicted window mean of the jump-measure transform;
+    Lambda comes from the direct-quadrature inverse transform of the
+    offset-free phi_w divided by the sinc weight, with cells where the weight
+    is below ``weight_guard`` flagged unrecovered; the drift is the average of
+    Im(psi corrected by the recovered c and Lambda)/u over 0.1 <= |u| <= 1.
     """
     if k is None:
         k = standard_truncation()
     if grid.u.size < 512:
         raise ValueError("recovery needs at least 512 exponent samples")
-    bw_lo, bw_hi = b_window
-    in_window = (np.abs(grid.u) >= bw_lo) & (np.abs(grid.u) <= bw_hi)
+    in_window = (np.abs(grid.u) >= 0.1) & (np.abs(grid.u) <= 1.0)
     if not in_window.any():
-        raise ValueError(f"no psi sample with {bw_lo} <= |u| <= {bw_hi} for the drift "
+        raise ValueError("no psi sample with 0.1 <= |u| <= 1.0 for the drift "
                          f"(u-spacing {grid.u[1] - grid.u[0]:.6g}); use a finer u-grid")
 
     admissible = np.abs(grid.u) <= grid.u_max - abs(w)
@@ -355,23 +352,21 @@ def recover_triplet(
     np.conj(phase[:, n_u - start:][:, ::-1], out=phase[:, :start])
 
     def invert(dc: complex) -> np.ndarray:
-        dens = (phase @ ((phi - dc) * u_weights)).real / (2 * np.pi)
-        return dens
+        return (phase @ ((phi - dc) * u_weights)).real / (2 * np.pi)
 
-    dc = complex(np.sum(phi * u_weights) / window)
+    dc_flat = complex(np.sum(phi * u_weights) / window)
+    dens = invert(dc_flat)
+    # subtract the u-window mean that the recovered measure itself explains
+    # exp(+i x u) is conj(phase) bit for bit; rows are reduced in blocks
+    dx = xs[1] - xs[0]
+    rows = np.flatnonzero(mask)
+    row_sums = np.empty(rows.size, dtype=np.complex128)
+    for lo in range(0, rows.size, _U_BLOCK):
+        block = phase[rows[lo:lo + _U_BLOCK]]
+        row_sums[lo:lo + _U_BLOCK] = np.sum(u_weights * np.conj(block), axis=1)
+    transform_mean = complex(np.sum(dens[mask] * row_sums) * dx / window)
+    dc = dc_flat - transform_mean
     dens = invert(dc)
-    if refine_dc:
-        # subtract the u-window mean that the recovered measure itself explains
-        # exp(+i x u) is conj(phase) bit for bit; rows are reduced in blocks
-        dx = xs[1] - xs[0]
-        rows = np.flatnonzero(mask)
-        row_sums = np.empty(rows.size, dtype=np.complex128)
-        for lo in range(0, rows.size, _U_BLOCK):
-            block = phase[rows[lo:lo + _U_BLOCK]]
-            row_sums[lo:lo + _U_BLOCK] = np.sum(u_weights * np.conj(block), axis=1)
-        transform_mean = complex(np.sum(dens[mask] * row_sums) * dx / window)
-        dc = complex(np.sum(phi * u_weights) / window) - transform_mean
-        dens = invert(dc)
 
     c_hat = 6.0 * dc.real / w**2
     lam_density = np.zeros_like(xs)
@@ -380,7 +375,6 @@ def recover_triplet(
 
     u_b = grid.u[in_window]
     psi_b = grid.psi[in_window]
-    dx = xs[1] - xs[0]
     kx = np.asarray(k(xs), np.float64)
     cell_w = np.where(mask, dx, 0.0)
     integ = (

@@ -6,13 +6,17 @@ by the left-endpoint Riemann discretization of
     (1/eps) * integral_0^t (X_((s+eps)^t) - X_s) (Y_((s+eps)^t) - Y_s) ds,
 
 evaluated exactly via index arithmetic (the clamped shift ``(s+eps)^t`` is an
-index shift on a uniform grid).  Limits in eps are taken as the value at the
+index shift on a uniform grid).  One kernel serves both estimators: the
+quadratic form weights each shifted increment by itself, the forward integral
+weights it by the integrand.  Limits in eps are taken as the value at the
 smallest eps of a decreasing schedule, with a successive-difference error bar;
 non-convergence is a reported state, not an exception.
 
 Quadratic forms are computed from squared increments (no cancellation), and
 cross covariations are derived by polarization, which makes the estimator
-symmetric in (X, Y) bit-for-bit and consistent with the quadratic form.
+symmetric in (X, Y) bit-for-bit and consistent with the quadratic form.  A
+check that already holds [X, X]^eps polarizes against it instead of
+estimating it again.
 """
 
 from __future__ import annotations
@@ -77,13 +81,20 @@ def default_schedule(
     return EpsilonSchedule(kept)
 
 
-def _check_eps(grid: TimeGrid, eps: float) -> int:
+def _check_eps(X: CadlagPath, Y: CadlagPath, eps: float) -> int:
+    _check_grids(X, Y)
+    grid = X.grid
     m = int(round(eps / grid.dt))
     if m < 1 or abs(m * grid.dt - eps) > 1e-9 * grid.dt:
         raise ValueError(f"eps={eps} is not a positive multiple of dt={grid.dt}")
     if eps >= grid.T:
         raise ValueError("eps must be smaller than the horizon")
     return m
+
+
+def _check_grids(X: CadlagPath, Y: CadlagPath) -> None:
+    if X.grid != Y.grid:
+        raise GridMismatchError("paths live on different grids")
 
 
 def _cumsum0(x: np.ndarray) -> np.ndarray:
@@ -93,60 +104,49 @@ def _cumsum0(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _qv_eps(values: np.ndarray, m: int) -> np.ndarray:
-    """Quadratic form trajectory for shift m, on all nodes; batch-friendly.
-
-    Splits the sum at each output node j into the full-lag part (prefix sum of
-    lag-m squared increments, i <= j-m) and the clamped tail (offsets 1..m-1
-    ending at j).  All terms are squares, so the result is nonnegative.
-    """
-    n1 = values.shape[-1]
-    out = np.zeros_like(values)
+def _shift_form(v: np.ndarray, m: int, w: np.ndarray | None = None) -> np.ndarray:
+    """The one eps-shift kernel: (1/m) * sum of w_i (v_(i+m)^j - v_i) at every
+    node j of every row (w is the increment itself when None), as the prefix
+    sum of lag-m terms (i <= j-m) plus the clamped tail (offsets 1..m-1)."""
+    n1 = v.shape[-1]
+    out = np.zeros_like(v)
+    # in place: on (B, n+1) rows a fresh temporary costs more than the arithmetic
     if m < n1:
-        d = values[..., m:] - values[..., :-m]
-        out[..., m:] = np.cumsum(d * d, axis=-1)
+        d = v[..., m:] - v[..., :-m]
+        np.multiply(d if w is None else w[..., :-m], d, out=d)
+        np.cumsum(d, axis=-1, out=out[..., m:])
     for off in range(1, min(m, n1)):
-        d = values[..., off:] - values[..., :-off]
-        out[..., off:] += d * d
+        d = v[..., off:] - v[..., :-off]
+        out[..., off:] += np.multiply(d if w is None else w[..., :-off], d, out=d)
     out /= m
     return out
 
 
-def _cov_eps(vx: np.ndarray, vy: np.ndarray, m: int) -> np.ndarray:
-    # polarization keeps the estimator symmetric in (X, Y) bit-for-bit
-    if vx is vy:
-        return _qv_eps(vx, m)
-    qsum = _qv_eps(vx + vy, m)
-    return 0.5 * (qsum - (_qv_eps(vx, m) + _qv_eps(vy, m)))
+def _qv_eps(values: np.ndarray, m: int) -> np.ndarray:
+    """Quadratic form trajectory for shift m: a sum of squares, so nonnegative."""
+    return _shift_form(values, m)
 
 
 def _fwd_eps(vy: np.ndarray, vx: np.ndarray, m: int) -> np.ndarray:
     """Forward-integral trajectory of integrand values vy against vx, shift m."""
-    n1 = vx.shape[-1]
-    out = np.zeros_like(vx)
-    if m < n1:
-        d = vx[..., m:] - vx[..., :-m]
-        out[..., m:] = np.cumsum(vy[..., :-m] * d, axis=-1)
-    for off in range(1, min(m, n1)):
-        d = vx[..., off:] - vx[..., :-off]
-        out[..., off:] += vy[..., :-off] * d
-    out /= m
-    return out
+    return _shift_form(vx, m, vy)
+
+
+def _cov_eps(vx: np.ndarray, vy: np.ndarray, m: int, qx: np.ndarray | None = None) -> np.ndarray:
+    """[X, Y]^eps by polarization, which keeps it symmetric in (X, Y) bit for
+    bit; ``qx``, when given, is the [X, X]^eps trajectory already computed."""
+    qx = _qv_eps(vx, m) if qx is None else qx
+    return qx if vx is vy else 0.5 * (_qv_eps(vx + vy, m) - (qx + _qv_eps(vy, m)))
 
 
 def covariation_eps(X: CadlagPath, Y: CadlagPath, eps: float) -> np.ndarray:
     """Trajectory t -> [X, Y]^eps(t) on every grid node."""
-    if X.grid != Y.grid:
-        raise GridMismatchError("paths live on different grids")
-    return _cov_eps(X.values, Y.values, _check_eps(X.grid, eps))
+    return _cov_eps(X.values, Y.values, _check_eps(X, Y, eps))
 
 
 def forward_integral_eps(Y: CadlagPath, X: CadlagPath, eps: float) -> np.ndarray:
     """Trajectory of the eps-regularized forward integral of Y against X."""
-    if X.grid != Y.grid:
-        raise GridMismatchError("paths live on different grids")
-    m = _check_eps(X.grid, eps)
-    return _fwd_eps(Y.values, X.values, m)
+    return _fwd_eps(Y.values, X.values, _check_eps(X, Y, eps))
 
 
 @dataclass(frozen=True)
@@ -172,46 +172,55 @@ class CovariationEstimate:
         return float(self.limit[self.grid.index_of(t)])
 
 
-def _estimate_from_trajectories(
-    grid: TimeGrid, eps: np.ndarray, traj: np.ndarray
+def _refinement(traj: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Sup distances of successive trajectories (coarsest first) and the one
+    convergence rule: False where that distance grew across the last two
+    refinements, so the three finest decide it; per row for a batch."""
+    steps = (b - a for a, b in zip(traj[:-1], traj[1:]))
+    diffs = np.array([np.max(np.abs(d, out=d), axis=-1) for d in steps])
+    if len(diffs) < 2:
+        return diffs, np.ones(traj[0].shape[:-1], dtype=bool)
+    return diffs, ~(diffs[-1] > diffs[-2] * (1 + 1e-12))
+
+
+def _limit(
+    X: CadlagPath, Y: CadlagPath, schedule: EpsilonSchedule, form: Callable[[int], np.ndarray]
 ) -> CovariationEstimate:
-    diffs = (
-        np.max(np.abs(np.diff(traj, axis=0)), axis=1)
-        if traj.shape[0] > 1
-        else np.empty(0)
-    )
-    if diffs.size:
-        err = float(diffs[-1])
-    else:
-        err = 0.0
-    converged = True
-    if diffs.size >= 2 and diffs[-1] > diffs[-2] * (1 + 1e-12):
-        converged = False
+    """Estimate from the trajectories form(m), m over the schedule's multiples."""
+    eps = schedule.epsilons(X.grid)
+    _check_grids(X, Y)
+    traj = np.stack([form(m) for m in schedule.multiples])
+    diffs, converged = _refinement(traj)
     return CovariationEstimate(
-        grid=grid,
+        grid=X.grid,
         eps_values=eps,
         trajectories=traj,
         limit=traj[-1].copy(),
-        error_estimate=err,
+        error_estimate=float(diffs[-1]) if diffs.size else 0.0,
         sup_diffs=diffs,
-        converged=converged,
+        converged=bool(converged),
     )
 
 
 def covariation_limit(
     X: CadlagPath, Y: CadlagPath, schedule: EpsilonSchedule
 ) -> CovariationEstimate:
-    eps = schedule.epsilons(X.grid)
-    traj = np.stack([covariation_eps(X, Y, e) for e in eps])
-    return _estimate_from_trajectories(X.grid, eps, traj)
+    return _limit(X, Y, schedule, lambda m: _cov_eps(X.values, Y.values, m))
+
+
+def _covariation_against(
+    qv_x: CovariationEstimate, X: CadlagPath, Y: CadlagPath, schedule: EpsilonSchedule
+) -> CovariationEstimate:
+    """covariation_limit(X, Y, schedule), reading [X, X]^eps from ``qv_x``,
+    the estimate of covariation_limit(X, X, schedule)."""
+    qx = dict(zip(schedule.multiples, qv_x.trajectories))
+    return _limit(X, Y, schedule, lambda m: _cov_eps(X.values, Y.values, m, qx[m]))
 
 
 def forward_integral_limit(
     Y: CadlagPath, X: CadlagPath, schedule: EpsilonSchedule
 ) -> CovariationEstimate:
-    eps = schedule.epsilons(X.grid)
-    traj = np.stack([forward_integral_eps(Y, X, e) for e in eps])
-    return _estimate_from_trajectories(X.grid, eps, traj)
+    return _limit(X, Y, schedule, lambda m: _fwd_eps(Y.values, X.values, m))
 
 
 @dataclass(frozen=True)
@@ -288,7 +297,7 @@ def pure_jump_covariation_check(
     note = "" if pre_ok else (
         f"continuous bracket of first path is {cont_sup:.3g}, above tolerance {tol:.3g}"
     )
-    est = covariation_limit(Y, Z, schedule)
+    est = _covariation_against(qv_y.estimate, Y, Z, schedule)
     rhs = np.cumsum(Y.jumps * Z.jumps)
     return _identity_report("pure-jump covariation", est.limit, rhs, (est,), pre_ok, note)
 

@@ -33,13 +33,16 @@ from .regularize import (
     covariation_limit,
     default_schedule,
     forward_integral_limit,
+    _covariation_against,
     _cumsum0,
     _fwd_eps,
     _identity_report,
     _qv_eps,
+    _refinement,
 )
 from .simulate import (
-    _QUAD_NODES, BrownianMotion, ModelSpec, SeedSpec, simulate_batch, simulate_path,
+    _QUAD_NODES, BrownianMotion, ModelSpec, SeedSpec, law_expectation, simulate_batch,
+    simulate_path,
 )
 
 __all__ = [
@@ -211,8 +214,7 @@ def _compensator_term(
             base_f = F.f(times, left)
             base_fx = F.fx(times, left)
         xq, wq = law.quadrature()
-        kq = np.asarray(k(xq), np.float64)
-        kbar = float(np.dot(wq, kq))
+        kbar = law_expectation(law, k.fn)
         acc = np.zeros_like(left)
         for x_i, w_i in zip(xq, wq):
             acc += w_i * F.f(times, left + x_i)
@@ -249,8 +251,9 @@ def _residual_rows(
     F: TestFunction,
     mode: str,
     schedule: EpsilonSchedule | None,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The one residual assembly: (B, n+1) rows of residual values and terms.
+) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
+    """The one residual assembly: (B, n+1) rows of residual values and terms,
+    and a (B,) flag of forward-integral convergence.
 
     ``values``, ``left`` and ``bk`` hold one path per row: right values, left
     limits and the drift characteristic (``CharacteristicsModel.bk_values``; a
@@ -261,8 +264,10 @@ def _residual_rows(
     only).  A path-dependent drift is integrated by the eps-regularized forward
     rule at the schedule's finest eps, and its continuous bracket enters the
     second-order term at the same eps, so the two discretization biases
-    cancel.  Fixed atoms of the compensator sit at ``atom_k_integrals`` nodes:
-    their k-jumps leave the continuous drift and enter the drift term with a
+    cancel.  Its flag applies the ``CovariationEstimate.converged`` rule to the
+    three finest forward trajectories; a finite-variation drift converges.
+    Fixed atoms of the compensator sit at ``atom_k_integrals`` nodes: their
+    k-jumps leave the continuous drift and enter the drift term with a
     left-limit integrand, and their jump correction enters the compensator.
     """
     # a (1, n+1) row: against a batch of one, numpy runs the elementwise
@@ -280,10 +285,13 @@ def _residual_rows(
 
     inc = np.diff(chars.c_values(grid))
     integrand = F.fx(times, values if mode == "weak_dirichlet" else left)
+    converged = np.ones(values.shape[0], dtype=bool)
     if chars.drift_path_fn is not None:
-        m = (schedule or default_schedule(grid)).multiples[-1]
-        inc = inc + np.diff(_qv_eps(bk, m))
-        term_drift = -_fwd_eps(integrand, bk, m)
+        finest = (schedule or default_schedule(grid)).multiples[-3:]
+        fwd = [_fwd_eps(integrand, bk, m) for m in finest]
+        _, converged = _refinement(fwd)
+        inc = inc + np.diff(_qv_eps(bk, finest[-1]))
+        term_drift = -fwd[-1]
     else:
         term_drift = -_cumsum0(integrand[..., :-1] * np.diff(bk))
     term_second = -0.5 * _cumsum0(F.fxx(times, values)[..., :-1] * inc)
@@ -299,7 +307,7 @@ def _residual_rows(
         "drift": term_drift,
         "compensator": -_compensator_term(chars, times, left, F, dt, atom_idx),
     }
-    return sum(terms.values()), terms
+    return sum(terms.values()), terms, converged
 
 
 def _path_residual(
@@ -308,16 +316,15 @@ def _path_residual(
     F: TestFunction,
     mode: str,
     schedule: EpsilonSchedule | None = None,
-    forward_converged: bool = True,
 ) -> ResidualPath:
     """Per-path residual: row 0 of the batch-of-one kernel call."""
     _check_mode(chars, mode)
-    values, terms = _residual_rows(
+    values, terms, converged = _residual_rows(
         chars, X.grid, X.values[None], X.left_values()[None],
         chars.bk_values(X)[None], F, mode, schedule,
     )
     return ResidualPath(
-        X.grid, values[0], {name: t[0] for name, t in terms.items()}, forward_converged
+        X.grid, values[0], {name: t[0] for name, t in terms.items()}, bool(converged[0])
     )
 
 
@@ -335,19 +342,10 @@ def weak_dirichlet_residual(
     dC + d[drift, drift]^c; minus the forward drift integral (exact Riemann
     when the drift characteristic is finite variation, eps-regularized when it
     is path dependent); minus the compensated-jump correction.
-    ``forward_converged`` reports the forward integral's convergence over the
-    full schedule for a path-dependent drift.
+    ``forward_converged`` is that forward integral's convergence over the
+    schedule, judged as ``CovariationEstimate.converged``.
     """
-    chars = _as_chars(model, k)
-    if schedule is None:
-        schedule = default_schedule(X.grid)
-    forward_converged = True
-    if chars.drift_path_fn is not None:
-        fx_right = CadlagPath(X.grid, F.fx(X.grid.times(), X.values))
-        forward_converged = forward_integral_limit(
-            fx_right, chars.bk_path(X), schedule
-        ).converged
-    return _path_residual(X, chars, F, "weak_dirichlet", schedule, forward_converged)
+    return _path_residual(X, _as_chars(model, k), F, "weak_dirichlet", schedule)
 
 
 def semimartingale_residual(
@@ -421,13 +419,15 @@ def residual_ensemble(
 
     res_at = {t: np.empty(n_paths) for t in m_idx}
     path_at = {s: np.empty(n_paths) for s in probe_times}
+    nonconverged = 0
 
     for start in range(0, n_paths, batch_size):
         stop = min(start + batch_size, n_paths)
         batch = simulate_batch(model, grid, master_seed, range(start, stop))
         paths, left, bk = batch.values, batch.left_values(), chars.bk_values(batch)
         del batch  # the kernel reads no component or jump rows: free them first
-        values, _ = _residual_rows(chars, grid, paths, left, bk, F, mode, schedule)
+        values, _, converged = _residual_rows(chars, grid, paths, left, bk, F, mode, schedule)
+        nonconverged += int(np.count_nonzero(~converged))
         if inject_drift:
             values = values + inject_drift * grid.times()
         for t, i in m_idx.items():
@@ -449,6 +449,7 @@ def residual_ensemble(
             "master_seed": master_seed,
             "quadrature_nodes": _QUAD_NODES,
             "grid": {"T": grid.T, "n_steps": grid.n_steps},
+            "forward_nonconverged": nonconverged,
         },
     )
 
@@ -507,19 +508,13 @@ def _zstat(samples: np.ndarray) -> tuple[float, float, float]:
     return mean, se, mean / se
 
 
-def martingale_mean_test(
-    residuals: ResidualEnsemble,
-    times: Sequence[float] | None = None,
-    alpha_se: float = 3.0,
-) -> MartingaleTestReport:
+def martingale_mean_test(residuals: ResidualEnsemble, alpha_se: float = 3.0) -> MartingaleTestReport:
     """Per-time z-scores of the ensemble's residual means, plus orthogonality
     statistics E[(M_t - M_s) g(path values at earlier times)] for
     g in {1, tanh(X_s), sin(X_{s1}) sin(X_{s2})}; a statistic passes when
-    |z| <= alpha_se.  ``times`` defaults to the ensemble's test times.
+    |z| <= alpha_se, at each of the ensemble's test times.
     """
-    ens = residuals
-    if times is None:
-        times = ens.times
+    ens, times = residuals, residuals.times
     if ens.n_paths < 1:
         raise ValueError("empty ensemble")
 
@@ -589,9 +584,10 @@ def drift_orthogonality_probe(
     else:
         probes = [(f"probe {i}", p) for i, p in enumerate(probes)]
 
+    qv_integral = covariation_limit(integral_path, integral_path, schedule)
     reports = []
     for name, probe in probes:
-        est = covariation_limit(integral_path, probe, schedule)
+        est = _covariation_against(qv_integral, integral_path, probe, schedule)
         reports.append(_identity_report(
             f"drift-integral orthogonality vs {name}", est.limit, np.zeros_like(est.limit), (est, fwd)
         ))

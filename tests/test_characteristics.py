@@ -263,6 +263,23 @@ class TestDriftJump:
             i = grid.index_of(t)
             assert bk.jumps[i] == pytest.approx(drift_jump(chars, STD, t))
 
+    def test_drift_jump_equals_the_atom_k_integral(self):
+        # one per-entry integral serves both; an entry summing to -0.0 reads 0.0
+        grid = TimeGrid(1.0, 100)
+        atoms = (
+            (0.2, ((0.3, 0.7), (-0.45, 0.25), (1.7, 1.0))),
+            (0.4, ((0.1, 1.0 / 3.0), (0.2, 1.0 / 7.0))),
+            (0.6, ((0.3, -0.0),)),
+            (0.8, ((2.0, 1.0),)),
+        )
+        chars = CharacteristicsModel(truncation=STD, fixed_atoms=atoms)
+        idx, vals = chars.atom_k_integrals(grid)
+        assert idx.tolist() == [grid.index_of(s) for s, _ in atoms]
+        for (s, _), v in zip(atoms, vals):
+            got = drift_jump(chars, STD, s)
+            assert np.float64(got).tobytes() == v.tobytes()
+        assert not np.signbit(vals[2]) and not np.signbit(drift_jump(chars, STD, 0.6))
+
 
 class TestBracketIdentities:
     def test_step_drift_bracket_is_squared_jump_sum(self):

@@ -244,6 +244,18 @@ class TestPureJumpCheck:
         assert rep.precondition_ok
         assert rep.sup_distance <= max(2 * rep.error_estimate, 1e-6)
 
+    def test_lhs_is_the_covariation_limit_on_rough_paths(self):
+        grid = TimeGrid(1.0, 4096)
+        sched = default_schedule(grid)
+        W = simulate_path(BrownianMotion(1.0), grid, SeedSpec(31, 0))
+        Z = simulate_path(CompoundPoisson(5.0, DiscreteAtoms((1.0, -0.5), (0.5, 0.5))),
+                          grid, SeedSpec(32, 0))
+        for Y, X in ((W, Z), (Z, W), (W, W)):
+            rep = pure_jump_covariation_check(Y, X, sched)
+            est = covariation_limit(Y, X, sched)
+            assert rep.lhs.tobytes() == est.limit.tobytes()
+            assert (rep.error_estimate, rep.converged) == (est.error_estimate, est.converged)
+
     def test_precondition_violation_reported(self):
         grid = TimeGrid(1.0, 2000)
         W = simulate_path(BrownianMotion(1.0), grid, SeedSpec(31, 0))
@@ -355,6 +367,31 @@ class TestEstimatorProperties:
         assert np.array_equal(xy.trajectories, yx.trajectories)
         assert xy.error_estimate == yx.error_estimate
         assert xy.converged == yx.converged
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(pair=path_pairs(), top=st.integers(1, 4))
+    def test_limits_stack_the_per_eps_trajectories(self, pair, top):
+        X, Y = pair
+        sched = schedule_for(X.grid, top)
+        for est, per_eps in ((covariation_limit(X, Y, sched), covariation_eps),
+                             (forward_integral_limit(X, Y, sched), forward_integral_eps)):
+            want = np.stack([per_eps(X, Y, e) for e in sched.epsilons(X.grid)])
+            assert est.trajectories.tobytes() == want.tobytes()
+            assert np.array_equal(est.eps_values, sched.epsilons(X.grid))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(case=jump_path_triples(), top=st.integers(1, 4), same=st.booleans())
+    def test_pure_jump_lhs_is_the_covariation_limit(self, case, top, same):
+        # the check polarizes against the [Y, Y] trajectories of its precondition
+        Y, Z, _ = case
+        if same:
+            Z = Y
+        sched = schedule_for(Y.grid, top)
+        rep = pure_jump_covariation_check(Y, Z, sched)
+        est = covariation_limit(Y, Z, sched)
+        assert rep.lhs.tobytes() == est.limit.tobytes()
+        assert rep.error_estimate == est.error_estimate
+        assert rep.converged == est.converged
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(pair=path_pairs(), top=st.integers(1, 4))

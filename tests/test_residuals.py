@@ -9,6 +9,7 @@ from dirichlet_reg import (
     CompoundPoisson,
     DeterministicDrift,
     DiscreteAtoms,
+    EpsilonSchedule,
     FractionalBrownianMotion,
     GaussianJumps,
     LevyJumpDiffusion,
@@ -19,10 +20,12 @@ from dirichlet_reg import (
     bump,
     combine_test_functions,
     convert_truncation,
+    covariation_limit,
     damped_sine,
     default_schedule,
     drift_orthogonality_probe,
     exp_tanh,
+    forward_integral_limit,
     known_characteristics,
     martingale_mean_test,
     residual_ensemble,
@@ -201,6 +204,78 @@ class TestResidualConstruction:
         assert np.max(np.abs(r.values)) == 0.0
 
 
+def white_noise_drift(seed, scale=1.0):
+    """Path-dependent drift characteristic with no forward-integral limit."""
+    def drift(path):
+        return scale * np.random.default_rng(seed).standard_normal(path.values.shape)
+
+    return drift
+
+
+def forward_flag(X, F, schedule, bk):
+    """The forward integral's convergence, judged by forward_integral_limit."""
+    fx = CadlagPath(X.grid, F.fx(X.grid.times(), X.values))
+    return forward_integral_limit(fx, CadlagPath(X.grid, bk), schedule).converged
+
+
+SCHEDULES = [(1,), (2, 1), (4, 2, 1), (16, 8, 4, 2, 1), (12, 5, 3, 2, 1)]
+
+
+class TestForwardConvergence:
+    @pytest.mark.parametrize("multiples", SCHEDULES, ids=str)
+    @pytest.mark.parametrize("family", ["fbm", "composite", "white_noise"])
+    def test_flag_matches_forward_integral_limit(self, family, multiples):
+        grid = TimeGrid(1.0, 512)
+        schedule = EpsilonSchedule(multiples)
+        for seed in range(4):
+            if family == "white_noise":
+                X = simulate_path(BrownianMotion(1.0), grid, SeedSpec(seed, 0))
+                chars = CharacteristicsModel(truncation=STD, drift_path_fn=white_noise_drift(seed))
+            else:
+                X = simulate_path(FAMILIES[family], grid, SeedSpec(seed, 0))
+                chars = known_characteristics(FAMILIES[family], STD)
+            r = weak_dirichlet_residual(X, chars, STD, exp_tanh(), schedule)
+            expected = forward_flag(X, exp_tanh(), schedule, chars.bk_values(X))
+            assert r.forward_converged is expected
+
+    def test_white_noise_drift_does_not_converge(self):
+        grid = TimeGrid(1.0, 512)
+        X = simulate_path(BrownianMotion(1.0), grid, SeedSpec(0, 0))
+        chars = CharacteristicsModel(truncation=STD, drift_path_fn=white_noise_drift(0))
+        r = weak_dirichlet_residual(X, chars, STD, exp_tanh(), EpsilonSchedule((16, 8, 4, 2, 1)))
+        assert r.forward_converged is False
+
+    def test_fixed_atoms_flag_reads_the_atom_free_drift(self):
+        # the residual integrates the drift without its fixed-atom step; the
+        # flag describes that integral, which here converges only with the step
+        grid = TimeGrid(1.0, 512)
+        schedule = EpsilonSchedule((16, 8, 4, 2, 1))
+        X = simulate_path(BrownianMotion(1.0), grid, SeedSpec(0, 0))
+        chars = CharacteristicsModel(
+            truncation=STD, drift_path_fn=white_noise_drift(0, 1e-4),
+            fixed_atoms=((0.5, ((0.5, 1.0),)),),
+        )
+        r = weak_dirichlet_residual(X, chars, STD, exp_tanh(), schedule)
+        atom_free = chars.bk_values(X) - np.cumsum(chars._atom_steps(grid))
+        assert r.forward_converged is forward_flag(X, exp_tanh(), schedule, atom_free)
+        assert r.forward_converged is False
+        assert forward_flag(X, exp_tanh(), schedule, chars.bk_path(X).values) is True
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    @pytest.mark.parametrize("family", ["fbm", "composite", "jump_diffusion"])
+    def test_ensemble_counts_nonconverged_rows(self, family, batch_size):
+        grid = TimeGrid(1.0, 256)
+        model = FAMILIES[family]
+        ens = residual_ensemble(model, grid, STD, exp_tanh(), 5, 64, batch_size=batch_size)
+        flags = [
+            weak_dirichlet_residual(simulate_path(model, grid, SeedSpec(5, i)), model, STD,
+                                    exp_tanh()).forward_converged
+            for i in range(64)
+        ]
+        assert ens.meta["forward_nonconverged"] == flags.count(False)
+        assert (flags.count(False) > 0) == (family in ROUGH)
+
+
 class TestMartingaleMeanTest:
     def _ensemble(self, residual_fn, n=200):
         times = (0.25, 0.5, 1.0)
@@ -344,3 +419,23 @@ class TestOrthogonalityProbe:
             assert indep
             sups.append(indep[0].sup_distance)
         assert np.median(sups) < 0.05
+
+    def test_each_report_equals_its_covariation_limit(self):
+        grid = TimeGrid(1.0, 2048)
+        schedule = EpsilonSchedule((16, 8, 4, 2, 1))
+        model = FAMILIES["composite"]
+        chars = known_characteristics(model, STD)
+        X = simulate_path(model, grid, SeedSpec(3, 0))
+        extra = simulate_path(BrownianMotion(1.0), grid, SeedSpec(4, 0))
+        fx = CadlagPath(grid, exp_tanh().fx(grid.times(), X.values))
+        fwd = forward_integral_limit(fx, chars.bk_path(X), schedule)
+        integral = CadlagPath(grid, fwd.limit)
+        default_probes = [X.components["bm"],
+                          simulate_path(BrownianMotion(1.0), grid, SeedSpec(977, 0))]
+        for probes in (None, [extra, X]):
+            reports = drift_orthogonality_probe(X, model, STD, exp_tanh(), schedule, probes)
+            for rep, probe in zip(reports, probes or default_probes, strict=True):
+                est = covariation_limit(integral, probe, schedule)
+                assert rep.lhs.tobytes() == est.limit.tobytes()
+                assert rep.error_estimate == est.error_estimate + fwd.error_estimate
+                assert rep.converged == (est.converged and fwd.converged)
