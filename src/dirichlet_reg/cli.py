@@ -364,7 +364,8 @@ def cmd_residual(cfg: dict, outdir: Path):
     payload = report.to_dict()
     payload["quadrature_nodes"] = _QUAD_NODES
     _write_json(outdir / "residual_report.json", payload)
-    return (EXIT_OK if report.passed else EXIT_STATFAIL), {"pass": report.passed}, []
+    verdicts = {"pass": report.passed, "forward_nonconverged": ens.meta["forward_nonconverged"]}
+    return (EXIT_OK if report.passed else EXIT_STATFAIL), verdicts, []
 
 
 def cmd_decompose(cfg: dict, outdir: Path):

@@ -288,10 +288,9 @@ def _residual_rows(
     converged = np.ones(values.shape[0], dtype=bool)
     if chars.drift_path_fn is not None:
         finest = (schedule or default_schedule(grid)).multiples[-3:]
-        fwd = [_fwd_eps(integrand, bk, m) for m in finest]
-        _, converged = _refinement(fwd)
+        _, converged, fwd = _refinement(_fwd_eps(integrand, bk, m) for m in finest)
         inc = inc + np.diff(_qv_eps(bk, finest[-1]))
-        term_drift = -fwd[-1]
+        term_drift = np.negative(fwd, out=fwd)
     else:
         term_drift = -_cumsum0(integrand[..., :-1] * np.diff(bk))
     term_second = -0.5 * _cumsum0(F.fxx(times, values)[..., :-1] * inc)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dirichlet_reg import ExponentGrid, Triplet1D, WeightedAtoms, standard_truncation
+from dirichlet_reg import cli
 from dirichlet_reg.cli import ConfigError, _validate, main
 
 
@@ -350,6 +351,12 @@ class TestResidual:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["function"] == "dampedsine"
 
+    def test_manifest_counts_no_nonconverged_forward_integral_for_brownian(self, tmp_path):
+        code, out = run(tmp_path, "residual", dict(self.BASE, paths=200))
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["verdicts"]["forward_nonconverged"] == 0
+
 
 class TestDecompose:
     def test_writes_components_and_reports(self, tmp_path):
@@ -444,6 +451,22 @@ class TestReproducibility:
         code2 = main(["residual", "--config", str(manifest), "--out", str(out2)])
         assert code2 == 0
         assert read_all_outputs(out2) == blobs1
+
+    def test_manifest_counts_the_ensemble_nonconverged_forward_integrals(
+            self, tmp_path, monkeypatch):
+        ensembles, real = [], cli.residual_ensemble
+
+        def recording(*args, **kwargs):
+            ensembles.append(real(*args, **kwargs))
+            return ensembles[-1]
+
+        monkeypatch.setattr(cli, "residual_ensemble", recording)
+        code, out = run(tmp_path, "residual", self.CFG)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        count = ensembles[0].meta["forward_nonconverged"]
+        assert manifest["verdicts"]["forward_nonconverged"] == count
+        assert count > 0  # the fBm drift of the composite does not converge on some paths
 
     def test_batch_size_invariance(self, tmp_path):
         code, out1 = run(tmp_path, "residual", self.CFG, name="c1.json",

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,8 @@ from dirichlet_reg import (
     smooth_map_cross_check,
     smooth_map_qv_check,
 )
-from dirichlet_reg.regularize import _fwd_eps, _identity_report, _qv_eps
+import dirichlet_reg.regularize as regularize
+from dirichlet_reg.regularize import _fwd_eps, _identity_report, _qv_eps, _refinement
 
 
 def heaviside(grid, jump_time=0.5, size=1.0):
@@ -325,7 +328,7 @@ def separated_step_paths(draw):
     """Two step paths and the largest shift m below which their jumps are
     isolated: every jump node is more than m nodes past the last one (and
     past 0), and a node carrying jumps of both paths counts once."""
-    m = draw(st.integers(1, 6))
+    m = draw(st.one_of(st.integers(1, 6), st.integers(33, 200)))
     gaps = draw(st.lists(st.integers(m + 1, m + 8), min_size=1, max_size=5))
     idx = np.cumsum(gaps)
     sizes = st.lists(st.floats(-3.0, 3.0, allow_subnormal=False),
@@ -460,3 +463,149 @@ class TestEstimatorProperties:
         assert rep.converged == all(ok for _, ok in bars)
         assert rep.sup_distance == float(np.max(np.abs(lhs - rhs)))
         assert rep.precondition_ok and rep.lhs is lhs and rep.rhs is rhs
+
+
+def reference_shift_form(v, m, w=None):
+    """The direct O(m*n) sum behind _qv_eps (w None: each increment weights
+    itself) and _fwd_eps: the lag-m terms as a prefix sum, then the clamped
+    tail added offset by offset, then 1/m."""
+    n1 = v.shape[-1]
+    out = np.zeros_like(v)
+    if m < n1:
+        d = v[..., m:] - v[..., :-m]
+        out[..., m:] = np.cumsum((d if w is None else w[..., :-m]) * d, axis=-1)
+    for off in range(1, min(m, n1)):
+        d = v[..., off:] - v[..., :-off]
+        out[..., off:] += (d if w is None else w[..., :-off]) * d
+    return out / m
+
+
+@st.composite
+def window_rows(draw, rows=1):
+    """(rows, n1) values and weights, with a shift m above the loop's 32 and
+    n1 from below m up to several chunks of m - 1 nodes: Brownian walks,
+    step paths with offsets, and walks with jumps."""
+    m = draw(st.integers(33, 200))
+    n1 = draw(st.integers(2, 5 * m))
+    kind = draw(st.sampled_from(["walk", "steps", "jumps"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = rng.standard_normal((rows, n1)) * 0.05
+    jumps = np.where(rng.random((rows, n1)) < 0.01, rng.uniform(-3, 3, (rows, n1)), 0.0)
+    v = {"walk": steps, "steps": jumps, "jumps": steps + jumps}[kind].cumsum(axis=-1)
+    v += rng.uniform(-5.0, 5.0, (rows, 1))
+    return v, np.tanh(v) + rng.standard_normal((rows, n1)) * 0.1, m
+
+
+def window_bounds(v, w):
+    """1e-12 (n+1) R^2 for the quadratic form, R the range of the row, and
+    1e-12 (n+1) R max|w| for the forward form."""
+    n1, R = v.shape[-1], np.ptp(v)
+    return 1e-12 * n1 * R * R, 1e-12 * n1 * R * np.max(np.abs(w))
+
+
+class TestWindowTail:
+    """Shifts above 32 steps sum the clamped tail from window sums in O(n)."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=window_rows())
+    def test_matches_the_direct_sum(self, case):
+        (v,), (w,), m = case
+        qv_bound, fwd_bound = window_bounds(v, w)
+        assert np.max(np.abs(_qv_eps(v, m) - reference_shift_form(v, m))) <= qv_bound
+        assert np.max(np.abs(_fwd_eps(w, v, m) - reference_shift_form(v, m, w))) <= fwd_bound
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 31, 32])
+    def test_loop_shifts_equal_the_direct_sum_bit_for_bit(self, m):
+        rng = np.random.default_rng(m)
+        for n1 in (1, 2, m, m + 1, 3 * m + 5, 500):
+            v = rng.standard_normal((2, n1)).cumsum(axis=-1)
+            w = rng.standard_normal((2, n1))
+            assert _qv_eps(v, m).tobytes() == reference_shift_form(v, m).tobytes()
+            assert _fwd_eps(w, v, m).tobytes() == reference_shift_form(v, m, w).tobytes()
+
+    @pytest.mark.parametrize("m", [33, 64, 200, 1000])
+    def test_shift_at_or_beyond_the_row(self, m):
+        # every node's window starts at node 0, and no lag-m term exists
+        rng = np.random.default_rng(m)
+        for n1 in (1, 2, 3, m // 2, m - 1, m):
+            v = rng.standard_normal(n1).cumsum() + 2.0
+            w = rng.standard_normal(n1)
+            qv_bound, fwd_bound = window_bounds(v, w)
+            assert np.max(np.abs(_qv_eps(v, m) - reference_shift_form(v, m))) <= qv_bound
+            assert np.max(np.abs(_fwd_eps(w, v, m) - reference_shift_form(v, m, w))) <= fwd_bound
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=window_rows())
+    def test_self_brackets_are_nonnegative(self, case):
+        v, _, m = case
+        assert np.all(_qv_eps(v[0], m) >= 0.0)
+
+    def test_quadratic_tail_is_clamped_at_zero(self):
+        # after a jump inside the first chunk, the windows of the next chunks
+        # are flat away from that chunk's reference: their tail is 0 exactly,
+        # and its window sums round to either side of 0
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            L = int(rng.integers(32, 120))
+            v = np.zeros(3 * L)
+            v[rng.integers(1, L):] = rng.uniform(-3.0, 3.0)
+            tail = np.zeros_like(v)
+            regularize._window_tail(v, L, None, tail)
+            assert np.all(tail >= 0.0)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(case=window_rows(rows=2), finer=st.integers(1, 32))
+    def test_covariation_limit_is_bitwise_symmetric(self, case, finer):
+        v, _, m = case
+        grid = TimeGrid(1.0, v.shape[-1] + m - 1)  # room for eps = m dt < T
+        X, Y = (CadlagPath(grid, np.append(row, row[-1] + np.arange(1, m + 1) * 0.01))
+                for row in v)
+        sched = EpsilonSchedule((m, finer))
+        xy, yx = covariation_limit(X, Y, sched), covariation_limit(Y, X, sched)
+        assert xy.trajectories.tobytes() == yx.trajectories.tobytes()
+        assert (xy.error_estimate, xy.converged) == (yx.error_estimate, yx.converged)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(case=window_rows(rows=4))
+    def test_rows_equal_single_rows_bit_for_bit(self, case):
+        v, w, m = case
+        qv, fwd = _qv_eps(v, m), _fwd_eps(w, v, m)
+        for r in range(v.shape[0]):
+            assert qv[r].tobytes() == _qv_eps(v[r].copy(), m).tobytes()
+            assert fwd[r].tobytes() == _fwd_eps(w[r].copy(), v[r].copy(), m).tobytes()
+
+    @pytest.mark.parametrize("run_nodes", [1, 300, 5000])
+    def test_runs_of_chunks_do_not_change_a_bit(self, run_nodes, monkeypatch):
+        rng = np.random.default_rng(run_nodes)
+        v = rng.standard_normal((3, 4000)).cumsum(axis=-1)
+        w = rng.standard_normal((3, 4000))
+        want = [_qv_eps(v, m).tobytes() + _fwd_eps(w, v, m).tobytes() for m in (33, 77, 200)]
+        monkeypatch.setattr(regularize, "_RUN_NODES", run_nodes)
+        got = [_qv_eps(v, m).tobytes() + _fwd_eps(w, v, m).tobytes() for m in (33, 77, 200)]
+        assert got == want
+
+
+class TestRefinement:
+    def test_keeps_only_the_previous_trajectory_alive(self):
+        rng = np.random.default_rng(3)
+        made = []
+
+        def trajectories():
+            for scale in (4.0, 2.0, 1.0, 0.5):
+                # the consumer holds the previous trajectory only
+                assert sum(ref() is not None for ref in made) <= 1
+                traj = rng.standard_normal((2, 50)) * scale
+                made.append(weakref.ref(traj))
+                yield traj
+                del traj
+
+        diffs, converged, finest = _refinement(trajectories())
+        assert diffs.shape == (3, 2) and converged.shape == (2,)
+        assert finest is made[-1]()
+
+    def test_stacked_and_streamed_trajectories_agree(self):
+        traj = np.random.default_rng(4).standard_normal((4, 3, 20)).cumsum(axis=-1)
+        stacked = _refinement(traj)
+        streamed = _refinement(iter(list(traj)))
+        for a, b in zip(stacked, streamed):
+            assert a.tobytes() == b.tobytes()
