@@ -277,7 +277,7 @@ def _hash_file(path: str) -> str:
 
 
 def _write_manifest(outdir: Path, cfg: dict, command: str, verdicts: dict,
-                    input_files: list[str]) -> None:
+                    input_files: list[str], run: dict) -> None:
     manifest = {
         "command": command,
         "config": cfg,
@@ -286,12 +286,15 @@ def _write_manifest(outdir: Path, cfg: dict, command: str, verdicts: dict,
         "input_hashes": {f: _hash_file(f) for f in input_files if os.path.exists(f)},
         "verdicts": verdicts,
     }
+    if run:
+        manifest["run"] = run
     _write_json(outdir / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
 # Commands: each writes its result files and returns
-# (exit code, manifest verdicts, input files to hash)
+# (exit code, manifest verdicts, input files to hash, the manifest's run
+# section: what the run did and where its time went, empty when not reported)
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(cfg: dict, outdir: Path):
@@ -308,7 +311,7 @@ def cmd_simulate(cfg: dict, outdir: Path):
         "final_value_mean": float(np.mean(finals)),
         "final_value_variance": float(np.var(finals)) if n > 1 else 0.0,
     }
-    return EXIT_OK, verdicts, []
+    return EXIT_OK, verdicts, [], {}
 
 
 def _estimator_command(cfg: dict, outdir: Path, command: str):
@@ -334,7 +337,7 @@ def _estimator_command(cfg: dict, outdir: Path, command: str):
     }
     _write_json(outdir / f"{command}_summary.json", summary)
     input_files = [cfg["source"]["file"]] if cfg["source"]["kind"] == "csv" else []
-    return (EXIT_OK if est.converged else EXIT_NONCONVERGED), summary, input_files
+    return (EXIT_OK if est.converged else EXIT_NONCONVERGED), summary, input_files, {}
 
 
 def cmd_residual(cfg: dict, outdir: Path):
@@ -365,7 +368,9 @@ def cmd_residual(cfg: dict, outdir: Path):
     payload["quadrature_nodes"] = _QUAD_NODES
     _write_json(outdir / "residual_report.json", payload)
     verdicts = {"pass": report.passed, "forward_nonconverged": ens.meta["forward_nonconverged"]}
-    return (EXIT_OK if report.passed else EXIT_STATFAIL), verdicts, []
+    run = {"paths": ens.n_paths,
+           **{key: ens.meta[key] for key in ("jumps", "probe_nodes", "seconds")}}
+    return (EXIT_OK if report.passed else EXIT_STATFAIL), verdicts, [], run
 
 
 def cmd_decompose(cfg: dict, outdir: Path):
@@ -401,7 +406,7 @@ def cmd_decompose(cfg: dict, outdir: Path):
     reports["reconstruction_error"] = dec.reconstruction_error
     _write_json(outdir / "identity_reports.json", reports)
     code = EXIT_NONCONVERGED if nonconverged else EXIT_OK if ok else EXIT_STATFAIL
-    return code, reports, []
+    return code, reports, [], {}
 
 
 def cmd_recover(cfg: dict, outdir: Path):
@@ -430,7 +435,7 @@ def cmd_recover(cfg: dict, outdir: Path):
         "unrecovered_cells": [float(x) for x in rec.unrecovered_cells],
     }
     _write_json(outdir / "recovered_triplet.json", payload)
-    return EXIT_OK, {"residual": rec.residual_sup}, [rc["psi_csv"]]
+    return EXIT_OK, {"residual": rec.residual_sup}, [rc["psi_csv"]], {}
 
 
 def cmd_sweep(cfg: dict, outdir: Path):
@@ -447,7 +452,7 @@ def cmd_sweep(cfg: dict, outdir: Path):
         blocks.append((np.full(t.size, grid.dt), eps, t, value))
     dt, eps, t, value = (np.concatenate(c) for c in zip(*blocks))
     _write_csv(outdir / "sweep.csv", ["dt", "eps", "t", "value"], dt, eps, t, value)
-    return EXIT_OK, {"rows": int(t.size)}, []
+    return EXIT_OK, {"rows": int(t.size)}, [], {}
 
 
 # command -> (function, config sections it needs beyond ``grid``)
@@ -491,11 +496,11 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"{args.command} needs the config section(s) {', '.join(missing)}")
         outdir = Path(cfg["out"])
         outdir.mkdir(parents=True, exist_ok=True)
-        code, verdicts, input_files = command(cfg, outdir)
+        code, verdicts, input_files, run = command(cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _write_manifest(outdir, cfg, args.command, verdicts, input_files)
+    _write_manifest(outdir, cfg, args.command, verdicts, input_files, run)
     return code
 
 

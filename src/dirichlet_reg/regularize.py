@@ -288,10 +288,20 @@ def _refinement(traj: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.
 def _limit(
     X: CadlagPath, Y: CadlagPath, schedule: EpsilonSchedule, form: Callable[[int], np.ndarray]
 ) -> CovariationEstimate:
-    """Estimate from the trajectories form(m), m over the schedule's multiples."""
+    """Estimate from the trajectories form(m), m over the schedule's multiples,
+    each copied into its row of the estimate as soon as it is computed: no
+    list of them and no stacked copy are held at once."""
     eps = schedule.epsilons(X.grid)
     _check_grids(X, Y)
-    traj = np.stack([form(m) for m in schedule.multiples])
+    ms = schedule.multiples
+    # the coarsest shift, whose kernel needs the most scratch, runs before the
+    # rows are allocated
+    first = form(ms[0])
+    traj = np.empty((len(ms),) + first.shape)
+    traj[0] = first
+    del first
+    for row, m in zip(traj[1:], ms[1:]):
+        row[:] = form(m)
     diffs, converged, _ = _refinement(traj)
     return CovariationEstimate(
         grid=X.grid,

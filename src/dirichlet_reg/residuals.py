@@ -12,12 +12,19 @@ All ds-integrals use the left-endpoint Riemann rule; the inner jump-law
 expectation uses each law's fixed quadrature (exact for discrete atoms,
 40-node Gauss rules otherwise); left limits at grid nodes feed the
 compensated-jump integrand.
+
+One kernel assembles residuals, in blocks of 32 rows so that its (rows, n+1)
+temporaries stay in cache; a per-path residual is a batch of one.  Ensembles
+draw their paths from ``simulate_batch``, whose (master_seed, path index)
+Philox streams are unchanged, so every sample is the same bit for bit
+whatever the batch size.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +68,10 @@ __all__ = [
     "martingale_mean_test",
     "drift_orthogonality_probe",
 ]
+
+# Rows per residual block: at n = 512 one (rows, n+1) temporary of 32 rows
+# takes 131 kB, so the compensator's quadrature loop runs in cache.
+_ROW_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -196,25 +207,22 @@ def _compensator_term(
     F: TestFunction,
     dt: float,
     atom_idx: np.ndarray,
+    laws: list[tuple[float, np.ndarray, np.ndarray, float]],
 ) -> np.ndarray:
     """Cumulative compensated-jump correction over (B, n+1) rows.
 
     Continuous part: left Riemann sum of
-        rate * E[F(s, X_{s-} + J) - F(s, X_{s-}) - k(J) dF/dx(s, X_{s-})],
-    plus fixed-atom contributions at their nodes ``atom_idx``.
+        rate * E[F(s, X_{s-} + J) - F(s, X_{s-}) - k(J) dF/dx(s, X_{s-})]
+    over ``laws``, the (rate, quadrature nodes, weights, E[k(J)]) of each
+    compensator entry with a nonzero rate, plus fixed-atom contributions at
+    their nodes ``atom_idx``.
     """
     k = chars.truncation
     integrand = np.zeros_like(left)
-    base_f = None
-    base_fx = None
-    for rate, law in chars.compensators:
-        if rate == 0.0:
-            continue
-        if base_f is None:
-            base_f = F.f(times, left)
-            base_fx = F.fx(times, left)
-        xq, wq = law.quadrature()
-        kbar = law_expectation(law, k.fn)
+    if laws:
+        base_f = F.f(times, left)
+        base_fx = F.fx(times, left)
+    for rate, xq, wq, kbar in laws:
         acc = np.zeros_like(left)
         for x_i, w_i in zip(xq, wq):
             acc += w_i * F.f(times, left + x_i)
@@ -242,7 +250,7 @@ def _check_mode(chars: CharacteristicsModel, mode: str) -> None:
                          "use weak_dirichlet mode for path-dependent drift")
 
 
-def _residual_rows(
+def _residual_blocks(
     chars: CharacteristicsModel,
     grid: TimeGrid,
     values: np.ndarray,
@@ -251,9 +259,10 @@ def _residual_rows(
     F: TestFunction,
     mode: str,
     schedule: EpsilonSchedule | None,
-) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
-    """The one residual assembly: (B, n+1) rows of residual values and terms,
-    and a (B,) flag of forward-integral convergence.
+) -> Iterator[tuple[int, np.ndarray, dict[str, np.ndarray], np.ndarray]]:
+    """The one residual assembly.  For each block of up to ``_ROW_BLOCK``
+    rows it yields the block's first row, its (rows, n+1) residual values and
+    terms, and a (rows,) flag of forward-integral convergence.
 
     ``values``, ``left`` and ``bk`` hold one path per row: right values, left
     limits and the drift characteristic (``CharacteristicsModel.bk_values``; a
@@ -269,44 +278,58 @@ def _residual_rows(
     Fixed atoms of the compensator sit at ``atom_k_integrals`` nodes: their
     k-jumps leave the continuous drift and enter the drift term with a
     left-limit integrand, and their jump correction enters the compensator.
+
+    Blocks keep the (rows, n+1) temporaries, above all those of the
+    compensator's quadrature loop, in cache.  No operation mixes rows, so a
+    row's bits do not depend on the block or batch it is computed in.
     """
     # a (1, n+1) row: against a batch of one, numpy runs the elementwise
     # loops faster than when it broadcasts a 1-D array
     times = grid.times()[None]
     dt = grid.dt
-
     atom_idx, atom_sizes = chars.atom_k_integrals(grid)
-    if atom_idx.size:
-        bk = bk - np.cumsum(chars._atom_steps(grid))
-
-    fv = F.f(times, values)
-    term_value = fv - fv[..., :1]
-    term_time = -_cumsum0(F.ft(times, values)[..., :-1] * dt)
-
-    inc = np.diff(chars.c_values(grid))
-    integrand = F.fx(times, values if mode == "weak_dirichlet" else left)
-    converged = np.ones(values.shape[0], dtype=bool)
+    atom_steps = np.cumsum(chars._atom_steps(grid)) if atom_idx.size else None
+    c_inc = np.diff(chars.c_values(grid))
+    laws = [(rate, *law.quadrature(), law_expectation(law, chars.truncation.fn))
+            for rate, law in chars.compensators if rate != 0.0]
     if chars.drift_path_fn is not None:
         finest = (schedule or default_schedule(grid)).multiples[-3:]
-        _, converged, fwd = _refinement(_fwd_eps(integrand, bk, m) for m in finest)
-        inc = inc + np.diff(_qv_eps(bk, finest[-1]))
-        term_drift = np.negative(fwd, out=fwd)
-    else:
-        term_drift = -_cumsum0(integrand[..., :-1] * np.diff(bk))
-    term_second = -0.5 * _cumsum0(F.fxx(times, values)[..., :-1] * inc)
-    if atom_idx.size:
-        fx_left = F.fx(times, left)
-        for i, s in zip(atom_idx, atom_sizes):
-            term_drift[..., i:] -= (fx_left[..., i] * s)[..., None]
+    bk_per_row = bk.ndim == 2 and bk.shape[0] > 1
 
-    terms = {
-        "value": term_value,
-        "time": term_time,
-        "second_order": term_second,
-        "drift": term_drift,
-        "compensator": -_compensator_term(chars, times, left, F, dt, atom_idx),
-    }
-    return sum(terms.values()), terms, converged
+    for start in range(0, values.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        x, xl = values[rows], left[rows]
+        b = bk[rows] if bk_per_row else bk
+        if atom_steps is not None:
+            b = b - atom_steps
+
+        fv = F.f(times, x)
+        term_value = fv - fv[..., :1]
+        term_time = -_cumsum0(F.ft(times, x)[..., :-1] * dt)
+
+        inc = c_inc
+        integrand = F.fx(times, x if mode == "weak_dirichlet" else xl)
+        converged = np.ones(x.shape[0], dtype=bool)
+        if chars.drift_path_fn is not None:
+            _, converged, fwd = _refinement(_fwd_eps(integrand, b, m) for m in finest)
+            inc = inc + np.diff(_qv_eps(b, finest[-1]))
+            term_drift = np.negative(fwd, out=fwd)
+        else:
+            term_drift = -_cumsum0(integrand[..., :-1] * np.diff(b))
+        term_second = -0.5 * _cumsum0(F.fxx(times, x)[..., :-1] * inc)
+        if atom_idx.size:
+            fx_left = F.fx(times, xl)
+            for i, s in zip(atom_idx, atom_sizes):
+                term_drift[..., i:] -= (fx_left[..., i] * s)[..., None]
+
+        terms = {
+            "value": term_value,
+            "time": term_time,
+            "second_order": term_second,
+            "drift": term_drift,
+            "compensator": -_compensator_term(chars, times, xl, F, dt, atom_idx, laws),
+        }
+        yield start, sum(terms.values()), terms, converged
 
 
 def _path_residual(
@@ -316,9 +339,9 @@ def _path_residual(
     mode: str,
     schedule: EpsilonSchedule | None = None,
 ) -> ResidualPath:
-    """Per-path residual: row 0 of the batch-of-one kernel call."""
+    """Per-path residual: the one block of the batch-of-one kernel call."""
     _check_mode(chars, mode)
-    values, terms, converged = _residual_rows(
+    [(_, values, terms, converged)] = _residual_blocks(
         chars, X.grid, X.values[None], X.left_values()[None],
         chars.bk_values(X)[None], F, mode, schedule,
     )
@@ -405,7 +428,11 @@ def residual_ensemble(
     equals the matching per-path residual bit for bit.
 
     ``inject_drift`` adds a deliberate linear drift to every residual and is
-    the negative control for the martingale tests.
+    the negative control for the martingale tests.  ``meta`` reports, besides
+    the inputs, the count of paths whose forward drift integral did not
+    converge, the node jumps of all paths, the grid times the probes snapped
+    to, and the seconds spent simulating (with the drift characteristic) and
+    assembling residuals.
     """
     chars = _as_chars(model, k)
     _check_mode(chars, mode)
@@ -418,21 +445,30 @@ def residual_ensemble(
 
     res_at = {t: np.empty(n_paths) for t in m_idx}
     path_at = {s: np.empty(n_paths) for s in probe_times}
-    nonconverged = 0
+    nonconverged = jumps = 0
+    seconds = {"simulate": 0.0, "residual": 0.0}
 
     for start in range(0, n_paths, batch_size):
+        clock = time.perf_counter()
         stop = min(start + batch_size, n_paths)
         batch = simulate_batch(model, grid, master_seed, range(start, stop))
         paths, left, bk = batch.values, batch.left_values(), chars.bk_values(batch)
+        jumps += int(np.count_nonzero(batch.jumps))
         del batch  # the kernel reads no component or jump rows: free them first
-        values, _, converged = _residual_rows(chars, grid, paths, left, bk, F, mode, schedule)
-        nonconverged += int(np.count_nonzero(~converged))
-        if inject_drift:
-            values = values + inject_drift * grid.times()
-        for t, i in m_idx.items():
-            res_at[t][start:stop] = values[:, i]
         for s, i in s_idx.items():
             path_at[s][start:stop] = paths[:, i]
+        seconds["simulate"] += time.perf_counter() - clock
+
+        clock = time.perf_counter()
+        blocks = _residual_blocks(chars, grid, paths, left, bk, F, mode, schedule)
+        for first, values, _, converged in blocks:
+            nonconverged += int(np.count_nonzero(~converged))
+            if inject_drift:
+                values = values + inject_drift * grid.times()
+            rows = slice(start + first, start + first + len(values))
+            for t, i in m_idx.items():
+                res_at[t][rows] = values[:, i]
+        seconds["residual"] += time.perf_counter() - clock
 
     return ResidualEnsemble(
         times=tuple(times),
@@ -449,6 +485,10 @@ def residual_ensemble(
             "quadrature_nodes": _QUAD_NODES,
             "grid": {"T": grid.T, "n_steps": grid.n_steps},
             "forward_nonconverged": nonconverged,
+            "jumps": jumps,
+            "probe_nodes": [{"probe": s, "grid_time": float(grid.times()[i])}
+                            for s, i in s_idx.items()],
+            "seconds": seconds,
         },
     )
 

@@ -5,6 +5,11 @@ Reproducibility contract: path ``i`` of an ensemble is a pure function of
 evaluation order or batching.  Within a path, component ``j`` draws from the
 substream ``jumped(j)``, so multi-component models have independent parts.
 ``simulate_batch`` fills ``(B, n+1)`` rows; ``simulate_path`` is its batch of one.
+A batch builds one Philox bit generator and sets its state at the start of
+each (path, component) substream, which draws the same numbers as a generator
+built for that substream (``SeedSpec.bit_generator``, the reference).
+Fractional noise reuses the circulant eigenvalues of its (n, H), cached, and
+runs one inverse FFT per block of rows, with the bits of one FFT per path.
 
 Jump times are snapped to the nearest grid node (collisions merged by summing
 sizes), which keeps left limits exact and estimators deterministic.
@@ -12,8 +17,9 @@ sizes), which keeps left limits exact and estimators deterministic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -39,6 +45,10 @@ __all__ = [
 
 _QUAD_NODES = 40
 _MAX_FBM_STEPS = 1 << 23
+# Complex nodes per inverse FFT of fractional noise: a block of
+# _FFT_NODES // (2n) rows keeps each complex temporary near 512 kB, whatever
+# the batch size.
+_FFT_NODES = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +228,23 @@ class SeedSpec:
 
 
 # ---------------------------------------------------------------------------
-# Generators: each draws one path's component into zeroed rows
+# Generators: each draws one component into zeroed (B, n+1) rows, row j from
+# the j-th generator of ``rngs``
 # ---------------------------------------------------------------------------
 
-def _brownian_values(grid: TimeGrid, sigma: float, rng: np.random.Generator,
+def _brownian_values(grid: TimeGrid, sigma: float, rngs: Iterator[np.random.Generator],
                      out: np.ndarray) -> None:
     if sigma > 0:
-        inc = rng.standard_normal(grid.n_steps) * (sigma * np.sqrt(grid.dt))
-        np.cumsum(inc, out=out[1:])
+        inc = out[:, 1:]
+        for row, rng in zip(inc, rngs):
+            rng.standard_normal(out=row)
+        inc *= sigma * np.sqrt(grid.dt)
+        np.cumsum(inc, axis=-1, out=inc)
 
 
-def _fgn_unit(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    """Unit-variance fractional Gaussian noise by circulant embedding."""
+def _circulant_root(n: int, hurst: float) -> np.ndarray:
+    """Square roots of the circulant-embedding eigenvalues of unit-variance
+    fractional Gaussian noise over ``n`` steps, as a read-only (2n,) array."""
     if n > _MAX_FBM_STEPS:
         raise MemoryError(
             f"grid too fine for exact fractional noise generation "
@@ -242,35 +257,59 @@ def _fgn_unit(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
     eig = np.fft.fft(row).real
     if eig.min() < -1e-8:
         raise ValueError("circulant embedding failed (negative eigenvalue)")
-    eig = np.clip(eig, 0.0, None)
-    z = np.empty(2 * n, dtype=np.complex128)
-    z[0] = rng.standard_normal()
-    z[n] = rng.standard_normal()
-    v = rng.standard_normal((n - 1, 2))
-    z[1:n] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
-    z[n + 1:] = np.conj(z[1:n][::-1])
-    return np.sqrt(2 * n) * np.fft.ifft(np.sqrt(eig) * z).real[:n]
+    root = np.sqrt(np.clip(eig, 0.0, None))
+    root.flags.writeable = False
+    return root
 
 
-def _fbm_values(grid: TimeGrid, hurst: float, scale: float, rng: np.random.Generator,
+# Roots of up to _FFT_NODES entries (n <= 2^14, at most 256 kB) are kept per
+# (n, hurst).  A longer one is rebuilt per call, where one path's own FFT costs
+# as much, rather than held for the life of the process.
+_cached_circulant_root = functools.lru_cache(maxsize=4)(_circulant_root)
+
+
+def _fbm_values(grid: TimeGrid, hurst: float, scale: float, rngs: Iterator[np.random.Generator],
                 out: np.ndarray) -> None:
-    if scale > 0:
-        inc = _fgn_unit(grid.n_steps, hurst, rng) * (scale * grid.dt**hurst)
-        np.cumsum(inc, out=out[1:])
+    """Fractional Brownian rows by circulant embedding: each row's complex
+    Gaussian vector comes from its own generator, and one inverse FFT serves a
+    block of rows (the same bits as one FFT per row)."""
+    if not scale > 0:
+        return
+    n = grid.n_steps
+    root = (_cached_circulant_root if 2 * n <= _FFT_NODES else _circulant_root)(n, hurst)
+    rows = max(1, _FFT_NODES // (2 * n))
+    for start in range(0, out.shape[0], rows):
+        block = out[start:start + rows]
+        # per row, in stream order: the real modes 0 and n, then n - 1 pairs
+        ends = np.empty((block.shape[0], 2))
+        pairs = np.empty((block.shape[0], n - 1, 2))
+        for e, p, rng in zip(ends, pairs, rngs):
+            rng.standard_normal(out=e)
+            rng.standard_normal(out=p)
+        z = np.empty((block.shape[0], 2 * n), dtype=np.complex128)
+        z[:, 0] = ends[:, 0]
+        z[:, n] = ends[:, 1]
+        z[:, 1:n] = (pairs[..., 0] + 1j * pairs[..., 1]) / np.sqrt(2.0)
+        z[:, n + 1:] = np.conj(z[:, n - 1:0:-1])
+        inc = np.sqrt(2 * n) * np.fft.ifft(root * z).real[:, :n]
+        inc *= scale * grid.dt**hurst
+        np.cumsum(inc, axis=-1, out=block[:, 1:])
 
 
-def _compound_poisson(grid: TimeGrid, rate: float, law: JumpLaw, rng: np.random.Generator,
-                      out: np.ndarray, node_jumps: np.ndarray) -> None:
-    """One compound-Poisson draw: values into ``out``, per-node jump sizes
+def _compound_poisson(grid: TimeGrid, rate: float, law: JumpLaw,
+                      rngs: Iterator[np.random.Generator], out: np.ndarray,
+                      node_jumps: np.ndarray) -> None:
+    """Compound-Poisson rows: values into ``out``, per-node jump sizes
     (collisions summed) into ``node_jumps``."""
     if rate > 0:
-        count = rng.poisson(rate * grid.T)
-        if count > 0:
-            times = rng.uniform(0.0, grid.T, count)
-            sizes = np.asarray(law.sample(rng, count), dtype=np.float64)
-            idx = np.clip(np.rint(times / grid.dt).astype(np.int64), 1, grid.n_steps)
-            np.add.at(node_jumps, idx, sizes)
-    np.cumsum(node_jumps, out=out)
+        for row, rng in zip(node_jumps, rngs):
+            count = rng.poisson(rate * grid.T)
+            if count > 0:
+                times = rng.uniform(0.0, grid.T, count)
+                sizes = np.asarray(law.sample(rng, count), dtype=np.float64)
+                idx = np.clip(np.rint(times / grid.dt).astype(np.int64), 1, grid.n_steps)
+                np.add.at(row, idx, sizes)
+    np.cumsum(node_jumps, axis=-1, out=out)
 
 
 def _component_list(model: ModelSpec) -> list:
@@ -301,6 +340,32 @@ def _component_name(comp, taken: set[str]) -> str:
     return name
 
 
+class _Substreams:
+    """One Philox for a whole batch.  ``at(i, component)`` returns a generator
+    at the start of the ``SeedSpec(master_seed, i).bit_generator(component)``
+    substream; after the first, it sets the state of the same bit generator,
+    which costs a fraction of building a new one."""
+
+    def __init__(self, master_seed: int):
+        self._key = np.array([master_seed & (2**64 - 1), 0], dtype=np.uint64)
+        self._counter = np.zeros(4, dtype=np.uint64)
+        # the state of a newly built generator: no buffered output
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": self._counter, "key": self._key},
+                       "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
+        self._rng: np.random.Generator | None = None
+
+    def at(self, path_index: int, component: int) -> np.random.Generator:
+        self._key[1] = path_index & (2**64 - 1)
+        self._counter[2] = component
+        if self._rng is None:
+            self._rng = np.random.Generator(np.random.Philox(key=self._key, counter=self._counter))
+        else:
+            self._rng.bit_generator.state = self._state
+        return self._rng
+
+
 def simulate_batch(model: ModelSpec, grid: TimeGrid, master_seed: int, indices) -> PathBatch:
     """Paths ``indices`` of the ``master_seed`` ensemble as ``(B, n+1)`` rows;
     row j draws from the ``SeedSpec(master_seed, indices[j])`` substreams only.
@@ -308,9 +373,13 @@ def simulate_batch(model: ModelSpec, grid: TimeGrid, master_seed: int, indices) 
     ``components`` holds one batch per model component (drift, diffusion,
     fractional and jump parts), which the characteristics decomposition reads.
     """
-    seeds = [SeedSpec(master_seed, int(i)) for i in indices]
-    shape = (len(seeds), grid.n_nodes)
-    no_jumps = np.broadcast_to(np.float64(0.0), shape)
+    indices = [int(i) for i in indices]
+    streams = _Substreams(master_seed)
+    shape = (len(indices), grid.n_nodes)
+    # a read-only zero-stride view, built directly: np.broadcast_to costs more
+    # than the rest of the set-up of a batch of one
+    no_jumps = np.ndarray(shape, np.float64, np.zeros(1), 0, (0, 0))
+    no_jumps.flags.writeable = False
     values = np.zeros(shape)
     parts: dict[str, PathBatch] = {}
     taken: set[str] = set()
@@ -325,17 +394,15 @@ def simulate_batch(model: ModelSpec, grid: TimeGrid, master_seed: int, indices) 
             part_values = np.broadcast_to(v, shape)
         else:
             part_values = np.zeros(shape)
-            if isinstance(comp, CompoundPoisson):
+            rows = (streams.at(i, stream) for i in indices)
+            if isinstance(comp, BrownianMotion):
+                _brownian_values(grid, comp.sigma, rows, part_values)
+            elif isinstance(comp, FractionalBrownianMotion):
+                _fbm_values(grid, comp.hurst, comp.scale, rows, part_values)
+            else:
                 part_jumps = np.zeros(shape)
-            for row, seed in enumerate(seeds):
-                rng = seed.generator(stream)
-                if isinstance(comp, BrownianMotion):
-                    _brownian_values(grid, comp.sigma, rng, part_values[row])
-                elif isinstance(comp, FractionalBrownianMotion):
-                    _fbm_values(grid, comp.hurst, comp.scale, rng, part_values[row])
-                else:
-                    _compound_poisson(grid, comp.rate, comp.law, rng,
-                                      part_values[row], part_jumps[row])
+                _compound_poisson(grid, comp.rate, comp.law, rows, part_values,
+                                  part_jumps)
             stream += 1
         parts[name] = PathBatch(grid, part_values, part_jumps)
         values += part_values

@@ -468,6 +468,26 @@ class TestReproducibility:
         assert manifest["verdicts"]["forward_nonconverged"] == count
         assert count > 0  # the fBm drift of the composite does not converge on some paths
 
+    def test_manifest_run_section_reports_the_ensemble(self, tmp_path, monkeypatch):
+        ensembles, real = [], cli.residual_ensemble
+
+        def recording(*args, **kwargs):
+            ensembles.append(real(*args, **kwargs))
+            return ensembles[-1]
+
+        monkeypatch.setattr(cli, "residual_ensemble", recording)
+        code, out = run(tmp_path, "residual", self.CFG)
+        assert code == 0
+        section = json.loads((out / "manifest.json").read_text())["run"]
+        meta = ensembles[0].meta
+        assert section["paths"] == 400
+        assert section["jumps"] == meta["jumps"] > 0
+        # default times (0.25, 0.5, 1.0) at dt = 1/128: probes snap exactly
+        assert section["probe_nodes"] == [{"probe": s, "grid_time": s}
+                                          for s in (0.0625, 0.125, 0.25, 0.5)]
+        assert section["seconds"] == meta["seconds"]
+        assert set(section["seconds"]) == {"simulate", "residual"}
+
     def test_batch_size_invariance(self, tmp_path):
         code, out1 = run(tmp_path, "residual", self.CFG, name="c1.json",
                          extra=("--batch-size", "37"))

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -609,3 +610,24 @@ class TestRefinement:
         streamed = _refinement(iter(list(traj)))
         for a, b in zip(stacked, streamed):
             assert a.tobytes() == b.tobytes()
+
+
+class TestLimit:
+    @pytest.mark.parametrize("estimate", [forward_integral_limit, covariation_limit])
+    def test_holds_its_trajectories_once(self, estimate):
+        # each trajectory goes into its row as soon as it is computed: the
+        # peak is the rows plus the kernel's scratch (three rows here), not a
+        # list of the rows and a stacked copy
+        grid = TimeGrid(1.0, 2**14)
+        X = simulate_path(BrownianMotion(1.0), grid, SeedSpec(0, 0))
+        schedule = EpsilonSchedule((128, 32, 8, 2, 1))
+        estimate(X, X, schedule)
+        tracemalloc.start()
+        try:
+            est = estimate(X, X, schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        row = grid.n_nodes * 8
+        assert peak < est.trajectories.nbytes + 4 * row
+        assert est.limit.tobytes() == est.trajectories[-1].tobytes()

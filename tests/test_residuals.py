@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -317,7 +319,48 @@ class TestMartingaleMeanTest:
         assert len(d["orthogonality"]) == 9
 
 
+@functools.cache
+def ensemble_bytes(family, mode, batch_size, n_paths=70):
+    """Every result of a residual ensemble as bytes: residual_at, path_at and
+    the non-converged count.  70 paths cross two 32-row residual blocks."""
+    ens = residual_ensemble(FAMILIES[family], TimeGrid(1.0, 64), STD, exp_tanh(), 23, n_paths,
+                            mode=mode, batch_size=batch_size)
+    return (
+        [(t, a.tobytes()) for t, a in ens.residual_at.items()],
+        [(s, a.tobytes()) for s, a in ens.path_at.items()],
+        ens.meta["forward_nonconverged"],
+    )
+
+
 class TestEnsembleRunner:
+    @pytest.mark.parametrize("batch_size", [7, 31, 32, 33, 64, 4096])
+    @pytest.mark.parametrize("family,mode", FAMILY_MODES)
+    def test_results_do_not_depend_on_the_batch_size(self, family, mode, batch_size):
+        # a batch of one is the per-path kernel call
+        assert ensemble_bytes(family, mode, batch_size) == ensemble_bytes(family, mode, 1)
+
+    @pytest.mark.parametrize("family,mode", FAMILY_MODES)
+    def test_a_full_4096_row_batch_matches_small_batches(self, family, mode):
+        full = ensemble_bytes(family, mode, 4096, n_paths=4097)
+        assert full == ensemble_bytes(family, mode, 33, n_paths=4097)
+
+    def test_meta_reports_stages_jumps_and_probe_nodes(self):
+        # dt = 0.1: the probes t/4 and t/2 of t = 0.5 and 1.0 snap to nodes
+        grid = TimeGrid(1.0, 10)
+        model = FAMILIES["compound_poisson"]
+        ens = residual_ensemble(model, grid, STD, exp_tanh(), 8, 40, times=(0.5, 1.0),
+                                batch_size=16)
+        assert ens.meta["probe_nodes"] == [
+            {"probe": 0.125, "grid_time": 0.1},
+            {"probe": 0.25, "grid_time": 0.2},
+            {"probe": 0.5, "grid_time": 0.5},
+        ]
+        jumps = sum(simulate_path(model, grid, SeedSpec(8, i)).jump_indices.size
+                    for i in range(40))
+        assert ens.meta["jumps"] == jumps > 0
+        assert set(ens.meta["seconds"]) == {"simulate", "residual"}
+        assert all(s > 0.0 for s in ens.meta["seconds"].values())
+
     def test_batch_size_does_not_change_results(self):
         grid = TimeGrid(1.0, 128)
         model = LevyJumpDiffusion(0.2, 1.0, 1.0, GaussianJumps(0.0, 0.3))

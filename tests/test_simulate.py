@@ -20,7 +20,7 @@ from dirichlet_reg import (
     simulate_batch,
     simulate_path,
 )
-from dirichlet_reg.simulate import _fgn_unit
+from dirichlet_reg.simulate import _cached_circulant_root, _circulant_root, _Substreams
 
 FAMILIES = {
     "brownian": BrownianMotion(1.0),
@@ -63,9 +63,8 @@ class TestValidation:
             Composite((inner,))
 
     def test_fgn_capacity_guard(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(MemoryError):
-            _fgn_unit((1 << 23) + 1, 0.7, rng)
+            _circulant_root((1 << 23) + 1, 0.7)
 
 
 class TestDeterminism:
@@ -117,11 +116,43 @@ class TestDeterminism:
             assert np.array_equal(got.state["state"][name], want.state["state"][name])
         assert np.array_equal(got.random_raw(8), want.random_raw(8))
 
+    def test_substreams_are_the_seed_spec_streams(self):
+        # one bit generator, moved between substreams in any order, and reset
+        # even when the previous draw left 32-bit or 64-bit output buffered
+        streams = _Substreams(2**63 + 7)
+        for i, component in [(0, 0), (5, 2), (2**64 - 1, 1), (5, 0), (0, 3), (5, 2)]:
+            rng = streams.at(i, component)
+            want = SeedSpec(2**63 + 7, i).generator(component)
+            assert np.array_equal(rng.bit_generator.random_raw(9), want.bit_generator.random_raw(9))
+            draw = rng.integers(0, 2**32, dtype=np.uint32)
+            assert draw == want.integers(0, 2**32, dtype=np.uint32)
+
     def test_paths_differ_across_indices(self):
         grid = TimeGrid(1.0, 200)
         a = simulate_path(BrownianMotion(1.0), grid, SeedSpec(1, 0))
         b = simulate_path(BrownianMotion(1.0), grid, SeedSpec(1, 1))
         assert not np.array_equal(a.values, b.values)
+
+
+def reference_fbm_values(grid, hurst, scale, rng):
+    """One fBm path by circulant embedding, with its own eigenvalues and its
+    own inverse FFT."""
+    n = grid.n_steps
+    k = np.arange(n + 1, dtype=np.float64)
+    h2 = 2.0 * hurst
+    rho = 0.5 * (np.abs(k + 1) ** h2 + np.abs(k - 1) ** h2 - 2 * k**h2)
+    eig = np.clip(np.fft.fft(np.concatenate([rho[:n], rho[n:n + 1], rho[n - 1:0:-1]])).real,
+                  0.0, None)
+    z = np.empty(2 * n, dtype=np.complex128)
+    z[0] = rng.standard_normal()
+    z[n] = rng.standard_normal()
+    v = rng.standard_normal((n - 1, 2))
+    z[1:n] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
+    z[n + 1:] = np.conj(z[1:n][::-1])
+    fgn = np.sqrt(2 * n) * np.fft.ifft(np.sqrt(eig) * z).real[:n]
+    out = np.zeros(n + 1)
+    np.cumsum(fgn * (scale * grid.dt**hurst), out=out[1:])
+    return out
 
 
 def assert_same_path(a, b):
@@ -161,6 +192,38 @@ class TestBatch:
             assert list(got.components) == list(want.components)
             for name, part in want.components.items():
                 assert_same_path(got.components[name], part)
+
+    @pytest.mark.parametrize("n, size", [(512, 1), (512, 7), (512, 31), (512, 32), (512, 33),
+                                         (512, 64), (16, 4096)])
+    def test_composite_rows_are_the_per_path_paths_across_fft_blocks(self, n, size):
+        # n = 512 puts 32 rows in a fractional-noise FFT block, n = 16 puts 1024
+        grid = TimeGrid(1.0, n)
+        model = FAMILIES["composite"]
+        batch = simulate_batch(model, grid, 9, range(size))
+        for j in range(size):
+            want = simulate_path(model, grid, SeedSpec(9, j))
+            got = batch.path(j)
+            for name, part in [("total", want), *want.components.items()]:
+                row = got if name == "total" else got.components[name]
+                assert row.values.tobytes() == part.values.tobytes()
+                assert row.jumps.tobytes() == part.jumps.tobytes()
+
+    # 2^14 + 1 steps: one row per FFT block and a root that is not cached
+    @pytest.mark.parametrize("n", [1, 2, 17, 512, 2**14 + 1])
+    def test_fbm_rows_are_the_per_row_circulant_embedding(self, n):
+        grid = TimeGrid(1.0, n)
+        batch = simulate_batch(FractionalBrownianMotion(0.7, 0.5), grid, 4, range(70))
+        for i, row in enumerate(batch.values):
+            want = reference_fbm_values(grid, 0.7, 0.5, SeedSpec(4, i).generator(0))
+            assert row.tobytes() == want.tobytes()
+
+    def test_circulant_root_is_cached_and_read_only(self):
+        root = _cached_circulant_root(64, 0.7)
+        assert _cached_circulant_root(64, 0.7) is root
+        assert root.tobytes() == _circulant_root(64, 0.7).tobytes()
+        assert root.shape == (128,) and not root.flags.writeable
+        with pytest.raises(ValueError):
+            root[0] = 1.0
 
     def test_drift_of_the_wrong_shape_is_rejected(self):
         grid = TimeGrid(1.0, 10)
