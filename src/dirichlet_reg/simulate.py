@@ -8,8 +8,9 @@ substream ``jumped(j)``, so multi-component models have independent parts.
 A batch builds one Philox bit generator and sets its state at the start of
 each (path, component) substream, which draws the same numbers as a generator
 built for that substream (``SeedSpec.bit_generator``, the reference).
-Fractional noise reuses the circulant eigenvalues of its (n, H), cached, and
-runs one inverse FFT per block of rows, with the bits of one FFT per path.
+Fractional noise builds the circulant eigenvalues of its (n, H) once per
+batch and runs one inverse FFT per block of rows, with the bits of one FFT per
+path.
 
 Jump times are snapped to the nearest grid node (collisions merged by summing
 sizes), which keeps left limits exact and estimators deterministic.
@@ -17,7 +18,6 @@ sizes), which keeps left limits exact and estimators deterministic.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
@@ -211,17 +211,27 @@ ModelSpec = Union[
 ]
 
 
+def _substream_words(master_seed: int, path_index: int,
+                     component: int) -> tuple[np.ndarray, np.ndarray]:
+    """Philox key and counter at the start of substream ``component`` of path
+    ``path_index``: the key holds both seed words mod 2**64, and the component
+    sits in counter word 2 (the ``jumped(component)`` stream of that key).
+
+    uint64 arrays: a list mixing words above and below 2**63 would go through
+    float64 and lose the low bits of the large word.
+    """
+    key = np.array([master_seed & (2**64 - 1), path_index & (2**64 - 1)], dtype=np.uint64)
+    return key, np.array([0, 0, component, 0], dtype=np.uint64)
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     master_seed: int
     path_index: int = 0
 
     def bit_generator(self, component: int = 0) -> np.random.BitGenerator:
-        # a uint64 array: a list mixing words above and below 2**63 would go
-        # through float64 and lose the low bits of the large word
-        key = np.array([self.master_seed & (2**64 - 1), self.path_index & (2**64 - 1)],
-                       dtype=np.uint64)
-        return np.random.Philox(key=key, counter=[0, 0, component, 0])
+        key, counter = _substream_words(self.master_seed, self.path_index, component)
+        return np.random.Philox(key=key, counter=counter)
 
     def generator(self, component: int = 0) -> np.random.Generator:
         return np.random.Generator(self.bit_generator(component))
@@ -262,11 +272,6 @@ def _circulant_root(n: int, hurst: float) -> np.ndarray:
     return root
 
 
-# Roots of up to _FFT_NODES entries (n <= 2^14, at most 256 kB) are kept per
-# (n, hurst).  A longer one is rebuilt per call, where one path's own FFT costs
-# as much, rather than held for the life of the process.
-_cached_circulant_root = functools.lru_cache(maxsize=4)(_circulant_root)
-
 
 def _fbm_values(grid: TimeGrid, hurst: float, scale: float, rngs: Iterator[np.random.Generator],
                 out: np.ndarray) -> None:
@@ -276,7 +281,7 @@ def _fbm_values(grid: TimeGrid, hurst: float, scale: float, rngs: Iterator[np.ra
     if not scale > 0:
         return
     n = grid.n_steps
-    root = (_cached_circulant_root if 2 * n <= _FFT_NODES else _circulant_root)(n, hurst)
+    root = _circulant_root(n, hurst)
     rows = max(1, _FFT_NODES // (2 * n))
     for start in range(0, out.shape[0], rows):
         block = out[start:start + rows]
@@ -347,22 +352,20 @@ class _Substreams:
     which costs a fraction of building a new one."""
 
     def __init__(self, master_seed: int):
-        self._key = np.array([master_seed & (2**64 - 1), 0], dtype=np.uint64)
-        self._counter = np.zeros(4, dtype=np.uint64)
-        # the state of a newly built generator: no buffered output
-        self._state = {"bit_generator": "Philox",
-                       "state": {"counter": self._counter, "key": self._key},
-                       "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                       "has_uint32": 0, "uinteger": 0}
+        self._master_seed = master_seed
+        self._buffer = np.zeros(4, dtype=np.uint64)
         self._rng: np.random.Generator | None = None
 
     def at(self, path_index: int, component: int) -> np.random.Generator:
-        self._key[1] = path_index & (2**64 - 1)
-        self._counter[2] = component
+        key, counter = _substream_words(self._master_seed, path_index, component)
         if self._rng is None:
-            self._rng = np.random.Generator(np.random.Philox(key=self._key, counter=self._counter))
+            self._rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
         else:
-            self._rng.bit_generator.state = self._state
+            # the state of a newly built generator: no buffered output
+            self._rng.bit_generator.state = {
+                "bit_generator": "Philox", "state": {"counter": counter, "key": key},
+                "buffer": self._buffer, "buffer_pos": 4,
+                "has_uint32": 0, "uinteger": 0}
         return self._rng
 
 

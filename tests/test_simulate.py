@@ -20,7 +20,7 @@ from dirichlet_reg import (
     simulate_batch,
     simulate_path,
 )
-from dirichlet_reg.simulate import _cached_circulant_root, _circulant_root, _Substreams
+from dirichlet_reg.simulate import _circulant_root, _Substreams
 
 FAMILIES = {
     "brownian": BrownianMotion(1.0),
@@ -208,7 +208,7 @@ class TestBatch:
                 assert row.values.tobytes() == part.values.tobytes()
                 assert row.jumps.tobytes() == part.jumps.tobytes()
 
-    # 2^14 + 1 steps: one row per FFT block and a root that is not cached
+    # 2^14 + 1 steps: one row per FFT block
     @pytest.mark.parametrize("n", [1, 2, 17, 512, 2**14 + 1])
     def test_fbm_rows_are_the_per_row_circulant_embedding(self, n):
         grid = TimeGrid(1.0, n)
@@ -217,10 +217,8 @@ class TestBatch:
             want = reference_fbm_values(grid, 0.7, 0.5, SeedSpec(4, i).generator(0))
             assert row.tobytes() == want.tobytes()
 
-    def test_circulant_root_is_cached_and_read_only(self):
-        root = _cached_circulant_root(64, 0.7)
-        assert _cached_circulant_root(64, 0.7) is root
-        assert root.tobytes() == _circulant_root(64, 0.7).tobytes()
+    def test_circulant_root_is_read_only(self):
+        root = _circulant_root(64, 0.7)
         assert root.shape == (128,) and not root.flags.writeable
         with pytest.raises(ValueError):
             root[0] = 1.0
