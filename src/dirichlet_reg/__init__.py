@@ -7,12 +7,10 @@ from .paths import (
     CadlagPath,
     GridAlignmentError,
     GridMismatchError,
-    JumpMeasure,
     PathBatch,
     TimeGrid,
     combine,
     constant_path,
-    extract_jumps,
     path_from_function,
     star_integral,
 )
@@ -83,7 +81,6 @@ from .levyexponent import (
     Triplet1D,
     WeightedAtoms,
     exponent_eval,
-    exponent_eval_nd,
     phi_w,
     recover_triplet,
 )

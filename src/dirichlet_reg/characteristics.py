@@ -74,11 +74,10 @@ def _centered(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
 
 @dataclass(frozen=True)
 class TruncationFunction:
-    """Bounded k with k(x) = x on [-radius, radius], |k| <= bound."""
+    """Bounded k with k(x) = x near 0 and |k| <= bound."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     bound: float
-    radius: float
     name: str
 
     def __call__(self, x):
@@ -91,7 +90,7 @@ def standard_truncation(cutoff: float = 1.0) -> TruncationFunction:
     def fn(x):
         return np.where(np.abs(x) <= cutoff, x, 0.0)
 
-    return TruncationFunction(fn=fn, bound=cutoff, radius=cutoff, name="standard")
+    return TruncationFunction(fn=fn, bound=cutoff, name="standard")
 
 
 def smooth_clip_truncation() -> TruncationFunction:
@@ -108,7 +107,7 @@ def smooth_clip_truncation() -> TruncationFunction:
         out = np.where(a <= 0.5, a, np.where(a >= 1.5, 1.0, blend))
         return np.sign(x) * out
 
-    return TruncationFunction(fn=fn, bound=1.0, radius=0.5, name="smooth_clip")
+    return TruncationFunction(fn=fn, bound=1.0, name="smooth_clip")
 
 
 FixedAtomSchedule = tuple[tuple[float, tuple[tuple[float, float], ...]], ...]
@@ -286,15 +285,6 @@ class Decomposition:
     drift: CadlagPath               # drift characteristic sample
     large_jumps: CadlagPath         # (x - k(x)) * mu
     reconstruction_error: float
-
-    @property
-    def parts(self) -> dict[str, CadlagPath]:
-        return {
-            "continuous": self.continuous,
-            "compensated_jumps": self.compensated_jumps,
-            "drift": self.drift,
-            "large_jumps": self.large_jumps,
-        }
 
 
 def decompose(

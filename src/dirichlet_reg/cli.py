@@ -89,6 +89,10 @@ _DEFAULTS = {
     "tolerance": 0.05,
     "source": {"kind": "model"},
 }
+# defaults inside a section, resolved wherever the section is present
+_MODEL_DEFAULTS = {"brownian": {"sigma": 1.0}, "fbm": {"scale": 1.0}}
+_RECOVER_DEFAULTS = {"w": 2.0, "x_max": 4.0, "x_cells": 1024, "weight_guard": 1e-3}
+_HEAVISIDE_DEFAULTS = {"jump_time": 0.5, "jump_size": 1.0}
 
 
 class ConfigError(ValueError):
@@ -152,8 +156,22 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> dict:
             cfg["grid"] = dict(cfg["grid"], **{key: getattr(args, key)})
     out = args.out or cfg.get("out") or os.environ.get("DIRICHLET_REG_OUT") or "runs"
     cfg["out"] = str(out)
+    if "model" in cfg:
+        cfg["model"] = _with_model_defaults(cfg["model"])
+    if "recover" in cfg:
+        cfg["recover"] = {**_RECOVER_DEFAULTS, **cfg["recover"]}
+    if "sweep" in cfg:
+        cfg["sweep"] = {"eps_multiples": cfg["eps_multiples"], **cfg["sweep"]}
+    if cfg["source"]["kind"] == "fixture" and cfg["source"].get("name") == "heaviside":
+        cfg["source"] = {**_HEAVISIDE_DEFAULTS, **cfg["source"]}
     _validate(cfg, "resolved config")
     return cfg
+
+
+def _with_model_defaults(spec: dict) -> dict:
+    if spec["kind"] == "composite":
+        return dict(spec, components=[_with_model_defaults(c) for c in spec["components"]])
+    return {**_MODEL_DEFAULTS.get(spec["kind"], {}), **spec}
 
 
 def _build_law(spec: dict):
@@ -178,9 +196,9 @@ def _build_model(spec: dict):
 def _model_from_spec(spec: dict):
     kind = spec["kind"]
     if kind == "brownian":
-        return BrownianMotion(spec.get("sigma", 1.0))
+        return BrownianMotion(spec["sigma"])
     if kind == "fbm":
-        return FractionalBrownianMotion(spec["hurst"], spec.get("scale", 1.0))
+        return FractionalBrownianMotion(spec["hurst"], spec["scale"])
     if kind == "compound_poisson":
         return CompoundPoisson(spec["rate"], _build_law(spec["law"]))
     if kind == "levy_jump_diffusion":
@@ -237,8 +255,7 @@ def _source_path(cfg: dict, grid: TimeGrid) -> CadlagPath:
     if kind == "fixture":
         name = src.get("name")
         if name == "heaviside":
-            jt = src.get("jump_time", 0.5)
-            js = src.get("jump_size", 1.0)
+            jt, js = src["jump_time"], src["jump_size"]
             try:
                 i = grid.index_of(jt)
                 values = np.where(np.arange(grid.n_nodes) >= i, js, 0.0)
@@ -418,10 +435,10 @@ def cmd_recover(cfg: dict, outdir: Path):
     try:
         rec = recover_triplet(
             grid,
-            w=rc.get("w", 2.0),
-            x_max=rc.get("x_max", 4.0),
-            x_cells=rc.get("x_cells", 1024),
-            weight_guard=rc.get("weight_guard", 1e-3),
+            w=rc["w"],
+            x_max=rc["x_max"],
+            x_cells=rc["x_cells"],
+            weight_guard=rc["weight_guard"],
         )
     except ValueError as exc:
         raise ConfigError(f"cannot recover from {rc['psi_csv']}: {exc}") from exc
@@ -440,7 +457,7 @@ def cmd_recover(cfg: dict, outdir: Path):
 
 def cmd_sweep(cfg: dict, outdir: Path):
     sw = cfg["sweep"]
-    eps_multiples = sw.get("eps_multiples", cfg["eps_multiples"])
+    eps_multiples = sw["eps_multiples"]
     horizon = float(cfg["grid"]["horizon"])
     grids = [TimeGrid(horizon, int(steps)) for steps in sw["steps_list"]]
     schedules = [_schedule(eps_multiples, grid) for grid in grids]

@@ -36,7 +36,6 @@ __all__ = [
     "Triplet1D",
     "ExponentGrid",
     "exponent_eval",
-    "exponent_eval_nd",
     "phi_w",
     "RecoveredTriplet",
     "recover_triplet",
@@ -124,7 +123,7 @@ class GriddedDensity:
         )
 
 
-JumpMeasure1D = Union[WeightedAtoms, GriddedDensity]
+LevyMeasure1D = Union[WeightedAtoms, GriddedDensity]
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ class Triplet1D:
 
     b: float
     c: float
-    lam: JumpMeasure1D | None
+    lam: LevyMeasure1D | None
     truncation: TruncationFunction = field(default_factory=standard_truncation)
 
 
@@ -172,32 +171,6 @@ def exponent_eval(triplet: Triplet1D, u) -> np.ndarray | complex:
         jump[:start] = np.conj(jump[m - start:][::-1])
         psi += jump
     return psi if np.ndim(u) else complex(psi[0])
-
-
-def exponent_eval_nd(
-    b: np.ndarray,
-    c: np.ndarray,
-    atoms_xs: np.ndarray,
-    atoms_ws: np.ndarray,
-    u: np.ndarray,
-    cutoff: float = 1.0,
-) -> complex:
-    """d-dimensional exponent for atomic Lambda, with the vector truncation
-    k(x) = x * 1_{|x| <= cutoff}.  ``u``, ``b`` are d-vectors, ``c`` a
-    symmetric d x d matrix, atoms an (n, d) array with weights (n,).
-    """
-    u = np.asarray(u, np.float64)
-    b = np.asarray(b, np.float64)
-    c = np.asarray(c, np.float64)
-    val = 1j * np.dot(u, b) - 0.5 * float(u @ c @ u)
-    xs = np.atleast_2d(np.asarray(atoms_xs, np.float64))
-    ws = np.asarray(atoms_ws, np.float64)
-    if xs.size:
-        ux = xs @ u
-        norms = np.linalg.norm(xs, axis=1)
-        kx = np.where(norms <= cutoff, 1.0, 0.0) * ux
-        val += complex(np.sum(ws * (np.exp(1j * ux) - 1.0 - 1j * kx)))
-    return val
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,6 @@ __all__ = [
     "TimeGrid",
     "CadlagPath",
     "PathBatch",
-    "JumpMeasure",
-    "extract_jumps",
     "star_integral",
     "combine",
     "constant_path",
@@ -163,8 +161,12 @@ class CadlagPath:
 
     @classmethod
     def from_csv(cls, path) -> "CadlagPath":
-        """Read ``t,value,jump`` rows; the times must form a uniform grid."""
-        times, values, jumps = _read_csv(path, ["t", "value", "jump"])
+        """Read ``t,value,jump`` rows; the times must form a uniform grid and
+        the values and jumps be finite."""
+        table = _read_csv(path, ["t", "value", "jump"])
+        if not np.isfinite(table[1:]).all():
+            raise ValueError(f"{path} holds a non-finite value or jump")
+        times, values, jumps = table
         n = len(times) - 1
         grid = TimeGrid(T=float(times[-1]), n_steps=n)
         if not np.max(np.abs(times - grid.times())) <= 1e-9 * grid.dt:
@@ -223,43 +225,28 @@ def _read_csv(path, header: Sequence[str]) -> np.ndarray:
                       usecols=range(len(header)), ndmin=2, quotechar='"').T.copy()
 
 
-@dataclass(frozen=True)
-class JumpMeasure:
-    """Atoms (s, dx) of the jump measure of one path, in time order."""
-
-    times: np.ndarray
-    sizes: np.ndarray
-    indices: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.times.size)
-
-
-def extract_jumps(path: CadlagPath) -> JumpMeasure:
-    """Jump measure atoms (time, size) of the path."""
-    idx = path.jump_indices
-    return JumpMeasure(times=idx * path.grid.dt, sizes=path.jumps[idx], indices=idx)
-
-
 def star_integral(
-    h: Callable[[float, float, float], float],
-    mu: JumpMeasure,
-    left_values: Sequence[float],
+    h: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    X: CadlagPath,
     t: float,
 ) -> float:
-    """Sum of h(s, dx, X_{s-}) over atoms with s <= t.
+    """(h * mu)_t: the sum of h(s, dx, X_{s-}) over the atoms (s, dx) of the
+    jump measure mu of X with s <= t.
 
-    With ``h(s, x, xl) = g(xl) * phi(s, x)`` this realizes integrals of
-    left-limit processes against the jump measure.
+    ``h`` is called once, on the arrays of jump times, sizes and left limits,
+    and its values are summed in time order.  With ``h(s, x, xl) = g(xl) *
+    phi(s, x)`` this realizes integrals of left-limit processes against mu.
     """
-    left_values = np.asarray(left_values, dtype=np.float64)
-    if left_values.shape != mu.times.shape:
-        raise ValueError("left_values must align with the atoms")
-    total = 0.0
-    for s, x, xl in zip(mu.times, mu.sizes, left_values):
-        if s <= t:
-            total += h(s, x, xl)
-    return total
+    s = X.jump_times()
+    kept = s <= t
+    if not kept.any():
+        return 0.0
+    idx, s = X.jump_indices[kept], s[kept]
+    x = X.jumps[idx]
+    v = np.broadcast_to(np.asarray(h(s, x, X.values[idx] - x), dtype=np.float64), s.shape)
+    # cumsum adds in time order, as a running total does (np.sum pairs terms
+    # and differs in the last bits); + 0.0 turns a -0.0 total into 0.0
+    return float(np.cumsum(v)[-1] + 0.0)
 
 
 def combine(a: float, X: CadlagPath, b: float, Y: CadlagPath) -> CadlagPath:

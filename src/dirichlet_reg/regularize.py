@@ -343,10 +343,6 @@ class QvDecomposition:
     jump: np.ndarray
     estimate: CovariationEstimate
 
-    @property
-    def converged(self) -> bool:
-        return self.estimate.converged
-
 
 def qv_decompose(X: CadlagPath, schedule: EpsilonSchedule) -> QvDecomposition:
     """Continuous / jump split of [X, X]: jump part from the jumps, exactly."""

@@ -312,8 +312,8 @@ def _compound_poisson(grid: TimeGrid, rate: float, law: JumpLaw,
             if count > 0:
                 times = rng.uniform(0.0, grid.T, count)
                 sizes = np.asarray(law.sample(rng, count), dtype=np.float64)
-                idx = np.clip(np.rint(times / grid.dt).astype(np.int64), 1, grid.n_steps)
-                np.add.at(row, idx, sizes)
+                idx = np.rint(times / grid.dt).astype(np.int64)
+                np.add.at(row, np.minimum(np.maximum(idx, 1), grid.n_steps), sizes)
     np.cumsum(node_jumps, axis=-1, out=out)
 
 

@@ -134,7 +134,7 @@ class TestDecompose:
     def test_truncation_of_negative_zero_registers_no_jump(self):
         # k(x) = -0.0 beyond the cutoff: the small-jump part has no jump there
         grid = TimeGrid(1.0, 100)
-        k = TruncationFunction(lambda x: np.where(np.abs(x) <= 1.0, x, -0.0 * x), 1.0, 1.0, "neg")
+        k = TruncationFunction(lambda x: np.where(np.abs(x) <= 1.0, x, -0.0 * x), 1.0, "neg")
         values = np.where(np.arange(grid.n_nodes) >= 40, 2.0, 0.0)
         X = CadlagPath.from_jumps(grid, values, {40: 2.0})
         dec = decompose(X, CharacteristicsModel(truncation=k), k)

@@ -194,6 +194,21 @@ class TestBadInput:
                "source": {"kind": "csv", "file": str(src)}, "eps_multiples": [1]}
         self.check_rejected(tmp_path, "qv", cfg, capsys)
 
+    @pytest.mark.parametrize("command", ["qv", "fwdint"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_value_exits_2(self, tmp_path, capsys, command, cell):
+        from dirichlet_reg import TimeGrid, path_from_function
+
+        src = tmp_path / "p.csv"
+        path_from_function(TimeGrid(1.0, 64), np.sin).to_csv(src)
+        rows = src.read_text().splitlines()
+        rows[20] = f"{rows[20].split(',')[0]},{cell},0"
+        src.write_text("\n".join(rows) + "\n")
+        cfg = {"grid": {"horizon": 1.0, "steps": 64},
+               "source": {"kind": "csv", "file": str(src)}, "eps_multiples": [2, 1]}
+        err = self.check_rejected(tmp_path, command, cfg, capsys)
+        assert "non-finite value or jump" in err
+
     NO_DATA = {"qv": ("t,value,jump", lambda f: {"source": {"kind": "csv", "file": f}}),
                "recover": ("u,re,im", lambda f: {"recover": {"psi_csv": f}})}
 
@@ -487,6 +502,50 @@ class TestReproducibility:
                                           for s in (0.0625, 0.125, 0.25, 0.5)]
         assert section["seconds"] == meta["seconds"]
         assert set(section["seconds"]) == {"simulate", "residual"}
+
+    # a config per command that leaves every default of a section out
+    BARE = {
+        "qv": {"grid": {"horizon": 1.0, "steps": 256},
+               "source": {"kind": "fixture", "name": "heaviside"}},
+        "simulate": {"grid": {"horizon": 1.0, "steps": 64}, "paths": 3,
+                     "model": {"kind": "composite", "components": [
+                         {"kind": "brownian"}, {"kind": "fbm", "hurst": 0.7}]}},
+        "sweep": {"grid": {"horizon": 1.0, "steps": 64}, "model": {"kind": "brownian"},
+                  "sweep": {"steps_list": [64, 128]}},
+    }
+    RESOLVED = {
+        "qv": {"source": {"kind": "fixture", "name": "heaviside",
+                          "jump_time": 0.5, "jump_size": 1.0}},
+        "simulate": {"model": {"kind": "composite", "components": [
+            {"kind": "brownian", "sigma": 1.0},
+            {"kind": "fbm", "hurst": 0.7, "scale": 1.0}]}},
+        "sweep": {"model": {"kind": "brownian", "sigma": 1.0},
+                  "sweep": {"steps_list": [64, 128], "eps_multiples": [32, 16, 8, 4, 2, 1]}},
+        "recover": {"recover": {"w": 2.0, "x_max": 4.0, "x_cells": 1024,
+                                "weight_guard": 1e-3}},
+    }
+
+    def bare_config(self, tmp_path, command):
+        if command != "recover":
+            return self.BARE[command]
+        lam = WeightedAtoms(np.array([0.5]), np.array([1.0]))
+        psi_csv = tmp_path / "psi.csv"
+        ExponentGrid.from_triplet(Triplet1D(0.1, 0.5, lam, standard_truncation()),
+                                  u_max=40.0, m=1024).to_csv(psi_csv)
+        return {"grid": {"horizon": 1.0, "steps": 10}, "recover": {"psi_csv": str(psi_csv)}}
+
+    @pytest.mark.parametrize("command", sorted(RESOLVED))
+    def test_manifest_holds_resolved_defaults_and_replays(self, tmp_path, command):
+        code, out1 = run(tmp_path, command, self.bare_config(tmp_path, command))
+        assert code == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        for section, resolved in self.RESOLVED[command].items():
+            if section == "recover":
+                resolved = dict(resolved, psi_csv=manifest["config"]["recover"]["psi_csv"])
+            assert manifest["config"][section] == resolved
+        out2 = tmp_path / "replayed"
+        assert main([command, "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
+        assert read_all_outputs(out2) == read_all_outputs(out1)
 
     def test_batch_size_invariance(self, tmp_path):
         code, out1 = run(tmp_path, "residual", self.CFG, name="c1.json",

@@ -11,7 +11,6 @@ from dirichlet_reg import (
     Triplet1D,
     WeightedAtoms,
     exponent_eval,
-    exponent_eval_nd,
     phi_w,
     recover_triplet,
     standard_truncation,
@@ -127,21 +126,6 @@ class TestExponentEval:
         g = ExponentGrid.from_triplet(tri, u_max=10.0, m=257)
         i0 = np.flatnonzero(g.u == 0.0)[0]
         assert abs(g.psi[i0]) < 1e-12
-
-    def test_multidimensional_evaluation(self):
-        b = np.array([0.1, -0.2])
-        c = np.array([[1.0, 0.3], [0.3, 0.5]])
-        xs = np.array([[2.0, 0.0], [0.1, 0.1]])
-        ws = np.array([1.0, 2.0])
-        u = np.array([0.5, -1.0])
-        got = exponent_eval_nd(b, c, xs, ws, u)
-        expected = (
-            1j * (u @ b)
-            - 0.5 * (u @ c @ u)
-            + 1.0 * (np.exp(1j * (u @ xs[0])) - 1.0)          # |x|=2 beyond cutoff
-            + 2.0 * (np.exp(1j * (u @ xs[1])) - 1.0 - 1j * (u @ xs[1]))
-        )
-        assert got == pytest.approx(expected)
 
     def test_signed_measure_variation_is_finite(self):
         lam = gaussian_density_measure()

@@ -12,7 +12,6 @@ from dirichlet_reg import (
     TimeGrid,
     combine,
     constant_path,
-    extract_jumps,
     path_from_function,
     star_integral,
 )
@@ -87,77 +86,94 @@ class TestJumpRegistry:
         with pytest.raises(ValueError):
             CadlagPath.from_jumps(grid, np.zeros(grid.n_nodes), [(7, 1.0), (7, 2.0)])
 
-    def test_extract_jumps_heaviside(self, grid):
-        mu = extract_jumps(heaviside(grid))
-        assert len(mu) == 1
-        assert mu.times[0] == pytest.approx(0.5)
-        assert mu.sizes[0] == 1.0
+    def test_jump_atoms_heaviside(self, grid):
+        p = heaviside(grid)
+        assert p.jump_indices.size == 1
+        assert p.jump_times()[0] == pytest.approx(0.5)
+        assert p.jump_sizes[0] == 1.0
 
-    def test_extract_jumps_continuous_path_empty(self, grid):
+    def test_jump_atoms_continuous_path_empty(self, grid):
         p = path_from_function(grid, np.sin)
-        assert len(extract_jumps(p)) == 0
+        assert p.jump_indices.size == p.jump_sizes.size == p.jump_times().size == 0
 
-    def test_extract_jumps_match_value_increments(self):
-        # the registry of a pure-jump path must agree with the value steps
+    def test_jump_atoms_match_value_increments(self):
+        # the jumps of a pure-jump path must agree with the value steps
         from dirichlet_reg import CompoundPoisson, DiscreteAtoms, SeedSpec, simulate_path
 
         grid = TimeGrid(1.0, 1000)
         law = DiscreteAtoms((1.0, -2.0, 0.5), (0.3, 0.3, 0.4))
         p = simulate_path(CompoundPoisson(3.0, law), grid, SeedSpec(17, 0))
-        mu = extract_jumps(p)
         steps = np.diff(p.values)
         observed = {i: s for i, s in zip(np.nonzero(steps)[0] + 1, steps[np.nonzero(steps)[0]])}
         assert observed == {
-            int(i): pytest.approx(s) for i, s in zip(mu.indices, mu.sizes)
+            int(i): pytest.approx(s) for i, s in zip(p.jump_indices, p.jump_sizes)
         }
+
+
+def _looped_star_integral(h, X, t):
+    """Reference: a running total of h over the atoms, one scalar call each."""
+    total = 0.0
+    for s, x, xl in zip(X.jump_times(), X.jump_sizes, X.left_values()[X.jump_indices]):
+        if s <= t:
+            total += h(s, x, xl)
+    return total
 
 
 class TestStarIntegral:
     def test_square_of_single_atom(self, grid):
-        mu = extract_jumps(heaviside(grid, size=2.0))
-        assert star_integral(lambda s, x, xl: x**2, mu, [0.0], 1.0) == 4.0
+        p = heaviside(grid, size=2.0)
+        assert star_integral(lambda s, x, xl: x**2, p, 1.0) == 4.0
 
     def test_no_atoms_before_time(self, grid):
-        mu = extract_jumps(heaviside(grid, jump_time=0.3, size=2.0))
-        assert star_integral(lambda s, x, xl: x**2, mu, [0.0], 0.2) == 0.0
+        p = heaviside(grid, jump_time=0.3, size=2.0)
+        assert star_integral(lambda s, x, xl: x**2, p, 0.2) == 0.0
 
     def test_time_weighted_atoms_cancel(self, grid):
         p = CadlagPath.from_jumps(
             grid, np.zeros(grid.n_nodes), {30: 2.0, 60: -1.0}
         )
-        mu = extract_jumps(p)
-        total = star_integral(lambda s, x, xl: s * x, mu, [0.0, 0.0], 1.0)
+        total = star_integral(lambda s, x, xl: s * x, p, 1.0)
         assert total == pytest.approx(0.3 * 2.0 + 0.6 * (-1.0))
 
     def test_additive_over_disjoint_intervals(self, grid):
         p = CadlagPath.from_jumps(grid, np.zeros(grid.n_nodes), {20: 1.0, 70: 3.0})
-        mu = extract_jumps(p)
-        lv = [0.0, 0.0]
         h = lambda s, x, xl: x**2
-        assert star_integral(h, mu, lv, 1.0) == pytest.approx(
-            star_integral(h, mu, lv, 0.5)
-            + (star_integral(h, mu, lv, 1.0) - star_integral(h, mu, lv, 0.5))
+        assert star_integral(h, p, 1.0) == pytest.approx(
+            star_integral(h, p, 0.5)
+            + (star_integral(h, p, 1.0) - star_integral(h, p, 0.5))
         )
-        assert star_integral(h, mu, lv, 0.5) == 1.0
-        assert star_integral(h, mu, lv, 1.0) == 10.0
+        assert star_integral(h, p, 0.5) == 1.0
+        assert star_integral(h, p, 1.0) == 10.0
 
-    def test_left_values_passed_through(self, grid):
+    def test_left_values_read_off_the_path(self, grid):
         p = heaviside(grid, size=2.0)
-        mu = extract_jumps(p)
-        lv = p.left_values()[mu.indices]
-        got = star_integral(lambda s, x, xl: xl + x, mu, lv, 1.0)
-        assert got == 2.0  # left value 0, jump 2
+        assert star_integral(lambda s, x, xl: xl + x, p, 1.0) == 2.0  # left value 0, jump 2
+        lifted = combine(1.0, p, 1.0, constant_path(grid, 1.0))
+        assert star_integral(lambda s, x, xl: xl, lifted, 1.0) == 1.0
+
+    def test_constant_integrand_counts_atoms(self, grid):
+        p = CadlagPath.from_jumps(grid, np.zeros(grid.n_nodes), {20: 1.0, 70: -3.0})
+        assert star_integral(lambda s, x, xl: 1.0, p, 1.0) == 2.0
 
     def test_linear_in_integrand(self, grid):
         p = CadlagPath.from_jumps(grid, np.zeros(grid.n_nodes), {25: 1.2, 80: -0.7})
-        mu = extract_jumps(p)
-        lv = [0.0, 0.0]
         h1 = lambda s, x, xl: x**2
         h2 = lambda s, x, xl: s * x
         combined = lambda s, x, xl: 3.0 * h1(s, x, xl) - 2.0 * h2(s, x, xl)
-        got = star_integral(combined, mu, lv, 1.0)
-        want = 3.0 * star_integral(h1, mu, lv, 1.0) - 2.0 * star_integral(h2, mu, lv, 1.0)
+        got = star_integral(combined, p, 1.0)
+        want = 3.0 * star_integral(h1, p, 1.0) - 2.0 * star_integral(h2, p, 1.0)
         assert got == pytest.approx(want, abs=1e-14)
+
+    def test_matches_a_per_atom_loop_bit_for_bit(self):
+        from dirichlet_reg import CompoundPoisson, GaussianJumps, simulate_batch
+
+        grid = TimeGrid(1.0, 512)
+        batch = simulate_batch(CompoundPoisson(20.0, GaussianJumps(0.1, 1.0)), grid, 7, range(40))
+        for j in range(40):
+            X = batch.path(j)
+            for h in (lambda s, x, xl: x**2, lambda s, x, xl: s * x):
+                for t in (0.3, 0.77, 1.0):
+                    assert star_integral(h, X, t) == _looped_star_integral(h, X, t)
 
 
 class TestCombine:
@@ -243,6 +259,13 @@ class TestCsvRoundTrip:
         f = tmp_path / "path.csv"
         f.write_text("t,value,jump\n0,0,0\n0.1,1,1\n0.5,2,1\n1.0,3,1\n")
         with pytest.raises(ValueError, match="uniform"):
+            CadlagPath.from_csv(f)
+
+    @pytest.mark.parametrize("row", ["0.5,nan,0", "0.5,1,inf", "0.5,-inf,0", "0.5,1,nan"])
+    def test_rejects_non_finite_value_or_jump(self, tmp_path, row):
+        f = tmp_path / "path.csv"
+        f.write_text(f"t,value,jump\n0,0,0\n{row}\n1,1,0\n")
+        with pytest.raises(ValueError, match="non-finite value or jump"):
             CadlagPath.from_csv(f)
 
     def test_accepts_times_within_rounding_of_the_grid(self, tmp_path):
