@@ -276,7 +276,7 @@ def _source_path(cfg: dict, grid: TimeGrid) -> CadlagPath:
 # ---------------------------------------------------------------------------
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _long_columns(grid: TimeGrid, est: CovariationEstimate):
@@ -377,6 +377,7 @@ def cmd_residual(cfg: dict, outdir: Path):
         n_paths=cfg["paths"],
         times=tuple(cfg["times"]),
         mode=cfg["mode"],
+        schedule=_schedule(cfg["eps_multiples"], grid),
         batch_size=cfg["batch_size"],
         inject_drift=cfg["inject_drift"],
     )

@@ -374,18 +374,18 @@ def recover_triplet(
     )
 
 
-def kernel_null_halfwidth(u_halfwidth: float, target: float = 0.2) -> float:
+def kernel_null_halfwidth(u_halfwidth: float) -> float:
     """Integration half-width at which the rectangular u-window's Dirichlet
     kernel integrates to exactly one.
 
     The windowed inverse transform smears an atom at x0 into the kernel
     sin(U(x-x0)) / (pi (x-x0)); its mass over |x-x0| <= r is (2/pi) Si(U r),
     which oscillates around 1.  Integrating to the Si = pi/2 crossing nearest
-    ``target`` removes the window bias from atom-mass queries.
+    r = 0.2 removes the window bias from atom-mass queries.
     """
     from scipy.special import sici
 
-    z = np.linspace(1.0, max(8.0, u_halfwidth * target * 2.5), 20000)
+    z = np.linspace(1.0, max(8.0, u_halfwidth * 0.2 * 2.5), 20000)
     si = sici(z)[0] - np.pi / 2
     sign_changes = np.flatnonzero(np.diff(np.sign(si)) != 0)
     crossings = []
@@ -399,10 +399,10 @@ def kernel_null_halfwidth(u_halfwidth: float, target: float = 0.2) -> float:
                 lo = mid
         crossings.append(0.5 * (lo + hi))
     rs = np.array(crossings) / u_halfwidth
-    return float(rs[np.argmin(np.abs(rs - target))])
+    return float(rs[np.argmin(np.abs(rs - 0.2))])
 
 
-def atom_mass(rec: RecoveredTriplet, x0: float, target_halfwidth: float = 0.2) -> float:
+def atom_mass(rec: RecoveredTriplet, x0: float) -> float:
     """Recovered jump-measure mass around an isolated atom location.
 
     The inverse transform smears an atom into a window kernel; this query
@@ -413,7 +413,7 @@ def atom_mass(rec: RecoveredTriplet, x0: float, target_halfwidth: float = 0.2) -
     """
     lo, hi = rec.diagnostics["u_window"]
     w = rec.diagnostics["w"]
-    r = kernel_null_halfwidth(0.5 * (hi - lo), target_halfwidth)
+    r = kernel_null_halfwidth(0.5 * (hi - lo))
     sel = np.abs(rec.lam.xs - x0) <= r
     weight = _sinc_weight(w, rec.lam.xs[sel])
     raw = float(np.sum(rec.lam.density[sel] * weight) * rec.lam.spacing)

@@ -231,18 +231,18 @@ def star_integral(
     t: float,
 ) -> float:
     """(h * mu)_t: the sum of h(s, dx, X_{s-}) over the atoms (s, dx) of the
-    jump measure mu of X with s <= t.
+    jump measure mu of X at the nodes up to ``X.grid.index_of(t)``, as ``eval``.
 
     ``h`` is called once, on the arrays of jump times, sizes and left limits,
     and its values are summed in time order.  With ``h(s, x, xl) = g(xl) *
     phi(s, x)`` this realizes integrals of left-limit processes against mu.
     """
-    s = X.jump_times()
-    kept = s <= t
-    if not kept.any():
+    idx = X.jump_indices
+    idx = idx[idx <= X.grid.index_of(t)]
+    if not idx.size:
         return 0.0
-    idx, s = X.jump_indices[kept], s[kept]
     x = X.jumps[idx]
+    s = idx * X.grid.dt
     v = np.broadcast_to(np.asarray(h(s, x, X.values[idx] - x), dtype=np.float64), s.shape)
     # cumsum adds in time order, as a running total does (np.sum pairs terms
     # and differs in the last bits); + 0.0 turns a -0.0 total into 0.0

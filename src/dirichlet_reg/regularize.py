@@ -72,17 +72,11 @@ class EpsilonSchedule:
         return eps
 
 
-def default_schedule(
-    grid: TimeGrid,
-    multiples: Sequence[int] = (32, 16, 8, 4, 2, 1),
-    cap_fraction: float = 0.1,
-) -> EpsilonSchedule:
-    """Geometric schedule truncated so that eps <= cap_fraction * T."""
-    cap = cap_fraction * grid.T / grid.dt
-    kept = tuple(m for m in multiples if m <= cap)
-    if not kept:
-        kept = (1,)
-    return EpsilonSchedule(kept)
+def default_schedule(grid: TimeGrid) -> EpsilonSchedule:
+    """The geometric schedule (32, 16, 8, 4, 2, 1) truncated so that
+    eps <= 0.1 * T, or (1,) when no eps fits."""
+    cap = 0.1 * grid.T / grid.dt
+    return EpsilonSchedule(tuple(m for m in (32, 16, 8, 4, 2, 1) if m <= cap) or (1,))
 
 
 def _check_eps(X: CadlagPath, Y: CadlagPath, eps: float) -> int:
@@ -387,19 +381,14 @@ def pure_jump_covariation_check(
     Y: CadlagPath,
     Z: CadlagPath,
     schedule: EpsilonSchedule,
-    continuous_tolerance: float | None = None,
 ) -> IdentityReport:
     """Checks [Y, Z] = sum of jump products when [Y, Y] has no continuous part.
 
-    The precondition ([Y,Y]^c vanishing within tolerance) is verified and
-    reported, never silently assumed.
+    The precondition ([Y,Y]^c vanishing within twice the estimate's error
+    bar, and at least 1e-10) is verified and reported, never silently assumed.
     """
     qv_y = qv_decompose(Y, schedule)
-    tol = (
-        continuous_tolerance
-        if continuous_tolerance is not None
-        else max(2.0 * qv_y.estimate.error_estimate, 1e-10)
-    )
+    tol = max(2.0 * qv_y.estimate.error_estimate, 1e-10)
     cont_sup = float(np.max(np.abs(qv_y.continuous)))
     pre_ok = cont_sup <= tol
     note = "" if pre_ok else (

@@ -18,6 +18,7 @@ sizes), which keeps left limits exact and estimators deterministic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
@@ -55,6 +56,14 @@ _FFT_NODES = 1 << 15
 # Jump size laws
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _gauss_rule(rule: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """``rule(_QUAD_NODES)``, built on first use, once per process; read-only."""
+    x, w = rule(_QUAD_NODES)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class DiscreteAtoms:
     values: tuple[float, ...]
@@ -91,7 +100,7 @@ class GaussianJumps:
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         # Gauss-Hermite, fixed node count recorded in reports
-        x, w = np.polynomial.hermite.hermgauss(_QUAD_NODES)
+        x, w = _gauss_rule(np.polynomial.hermite.hermgauss)
         return self.mean + np.sqrt(2.0) * self.sd * x, w / np.sqrt(np.pi)
 
 
@@ -109,7 +118,7 @@ class UniformJumps:
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         # Gauss-Legendre mapped to (a, b)
-        x, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
+        x, w = _gauss_rule(np.polynomial.legendre.leggauss)
         mid, half = 0.5 * (self.a + self.b), 0.5 * (self.b - self.a)
         return mid + half * x, w / 2.0
 

@@ -18,6 +18,13 @@ def run(tmp_path, command, config, name="config.json", extra=()):
     return main([command, "--config", str(cfg_file), "--out", str(out), *extra]), out
 
 
+def strict_json(path):
+    """Parses a JSON file, rejecting the non-JSON tokens NaN and +-Infinity."""
+    def reject(token):
+        raise ValueError(f"{path.name} holds the non-JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def read_all_outputs(outdir, skip_manifest=True):
     blobs = {}
     for f in sorted(outdir.iterdir()):
@@ -85,7 +92,7 @@ class TestBadInput:
         cfg = {"grid": self.GRID, "paths": 10, "model": self.BM, "times": [2.0]}
         self.check_rejected(tmp_path, "residual", cfg, capsys)
 
-    @pytest.mark.parametrize("command", ["qv", "fwdint", "decompose"])
+    @pytest.mark.parametrize("command", ["qv", "fwdint", "residual", "decompose"])
     def test_eps_schedule_beyond_horizon_exits_2(self, tmp_path, capsys, command):
         cfg = {"grid": self.GRID, "model": self.BM, "eps_multiples": [200, 100]}
         self.check_rejected(tmp_path, command, cfg, capsys)
@@ -372,6 +379,19 @@ class TestResidual:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["verdicts"]["forward_nonconverged"] == 0
 
+    @pytest.mark.parametrize("cfg", [
+        {"paths": 1},
+        {"paths": 50, "grid": {"horizon": 1.0, "steps": 64},
+         "model": {"kind": "drift", "coeffs": [0, 1]}},
+    ], ids=["one-path", "drift"])
+    def test_zero_spread_writes_null_z_and_fails(self, tmp_path, cfg):
+        code, out = run(tmp_path, "residual", dict(self.BASE, **cfg))
+        assert code == 4
+        report = strict_json(out / "residual_report.json")
+        assert report["pass"] is False
+        assert report["ses"] == [0.0, 0.0, 0.0]
+        assert report["zscores"] == [None, None, None]
+
 
 class TestDecompose:
     def test_writes_components_and_reports(self, tmp_path):
@@ -547,6 +567,20 @@ class TestReproducibility:
         assert main([command, "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
         assert read_all_outputs(out2) == read_all_outputs(out1)
 
+    def test_residual_reads_its_eps_multiples_and_replays(self, tmp_path):
+        # the fBm drift is integrated at the schedule's three finest eps
+        cfg = dict(self.CFG, grid={"horizon": 1.0, "steps": 256}, paths=64,
+                   model={"kind": "composite", "components": [
+                       {"kind": "brownian", "sigma": 1.0}, {"kind": "fbm", "hurst": 0.7}]})
+        run(tmp_path, "residual", cfg, name="c1.json")
+        default = read_all_outputs(tmp_path / "out")
+        (tmp_path / "out").rename(tmp_path / "out_default")
+        code, out = run(tmp_path, "residual", dict(cfg, eps_multiples=[16, 8, 2]), name="c2.json")
+        assert read_all_outputs(out) != default
+        out2 = tmp_path / "replayed"
+        assert main(["residual", "--config", str(out / "manifest.json"), "--out", str(out2)]) == code
+        assert read_all_outputs(out2) == read_all_outputs(out)
+
     def test_batch_size_invariance(self, tmp_path):
         code, out1 = run(tmp_path, "residual", self.CFG, name="c1.json",
                          extra=("--batch-size", "37"))
@@ -566,3 +600,36 @@ class TestReproducibility:
         }))
         assert main(["qv", "--config", str(cfg_file)]) == 0
         assert (tmp_path / "envout" / "qv_summary.json").exists()
+
+
+class TestStrictJson:
+    CONFIGS = {
+        "simulate": {"grid": {"horizon": 1.0, "steps": 64}, "model": {"kind": "brownian"},
+                     "paths": 2},
+        "qv": {"grid": {"horizon": 1.0, "steps": 256},
+               "source": {"kind": "fixture", "name": "heaviside"}},
+        "fwdint": {"grid": {"horizon": 1.0, "steps": 256},
+                   "source": {"kind": "fixture", "name": "heaviside"}},
+        "residual": {"grid": {"horizon": 1.0, "steps": 64}, "model": {"kind": "brownian"},
+                     "paths": 1},
+        "decompose": {"grid": {"horizon": 1.0, "steps": 256}, "model": {"kind": "brownian"}},
+        "sweep": {"grid": {"horizon": 1.0, "steps": 64}, "model": {"kind": "brownian"},
+                  "sweep": {"steps_list": [64, 128]}},
+    }
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS) + ["recover"])
+    def test_every_json_file_parses_strictly(self, tmp_path, command):
+        if command == "recover":
+            lam = WeightedAtoms(np.array([0.5]), np.array([1.0]))
+            psi_csv = tmp_path / "psi.csv"
+            ExponentGrid.from_triplet(Triplet1D(0.1, 0.5, lam, standard_truncation()),
+                                      u_max=40.0, m=1024).to_csv(psi_csv)
+            cfg = {"grid": {"horizon": 1.0, "steps": 10}, "recover": {"psi_csv": str(psi_csv)}}
+        else:
+            cfg = self.CONFIGS[command]
+        code, out = run(tmp_path, command, cfg)
+        assert code in (0, 3, 4)
+        files = sorted(out.glob("*.json"))
+        assert "manifest.json" in [f.name for f in files]
+        for f in files:
+            strict_json(f)

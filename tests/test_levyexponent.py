@@ -285,7 +285,7 @@ class TestRecovery:
     def test_kernel_null_halfwidth_is_a_mass_null(self):
         from scipy.special import sici
 
-        r = kernel_null_halfwidth(38.0, 0.2)
+        r = kernel_null_halfwidth(38.0)
         assert abs(sici(38.0 * r)[0] - np.pi / 2) < 1e-9
 
 

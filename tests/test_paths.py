@@ -111,10 +111,13 @@ class TestJumpRegistry:
 
 
 def _looped_star_integral(h, X, t):
-    """Reference: a running total of h over the atoms, one scalar call each."""
+    """Reference: a running total of h over the atoms at the nodes up to t's
+    node, one scalar call each."""
     total = 0.0
-    for s, x, xl in zip(X.jump_times(), X.jump_sizes, X.left_values()[X.jump_indices]):
-        if s <= t:
+    last = X.grid.index_of(t)
+    atoms = zip(X.jump_indices, X.jump_times(), X.jump_sizes, X.left_values()[X.jump_indices])
+    for i, s, x, xl in atoms:
+        if i <= last:
             total += h(s, x, xl)
     return total
 
@@ -163,6 +166,15 @@ class TestStarIntegral:
         got = star_integral(combined, p, 1.0)
         want = 3.0 * star_integral(h1, p, 1.0) - 2.0 * star_integral(h2, p, 1.0)
         assert got == pytest.approx(want, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_jump_at_a_decimal_grid_time_counts(self, n):
+        # a unit jump at every node: up to node i the integral of x is i, as
+        # eval gives, although i * dt exceeds the decimal time i / n for some i
+        grid = TimeGrid(1.0, n)
+        p = CadlagPath(grid, np.arange(n + 1.0), np.r_[0.0, np.ones(n)])
+        for i in range(n + 1):
+            assert star_integral(lambda s, x, xl: x, p, i / n) == p.eval(i / n) == i
 
     def test_matches_a_per_atom_loop_bit_for_bit(self):
         from dirichlet_reg import CompoundPoisson, GaussianJumps, simulate_batch

@@ -469,16 +469,13 @@ class TestOrthogonalityProbe:
         model = FAMILIES["composite"]
         chars = known_characteristics(model, STD)
         X = simulate_path(model, grid, SeedSpec(3, 0))
-        extra = simulate_path(BrownianMotion(1.0), grid, SeedSpec(4, 0))
         fx = CadlagPath(grid, exp_tanh().fx(grid.times(), X.values))
         fwd = forward_integral_limit(fx, chars.bk_path(X), schedule)
         integral = CadlagPath(grid, fwd.limit)
-        default_probes = [X.components["bm"],
-                          simulate_path(BrownianMotion(1.0), grid, SeedSpec(977, 0))]
-        for probes in (None, [extra, X]):
-            reports = drift_orthogonality_probe(X, model, STD, exp_tanh(), schedule, probes)
-            for rep, probe in zip(reports, probes or default_probes, strict=True):
-                est = covariation_limit(integral, probe, schedule)
-                assert rep.lhs.tobytes() == est.limit.tobytes()
-                assert rep.error_estimate == est.error_estimate + fwd.error_estimate
-                assert rep.converged == (est.converged and fwd.converged)
+        probes = [X.components["bm"], simulate_path(BrownianMotion(1.0), grid, SeedSpec(977, 0))]
+        reports = drift_orthogonality_probe(X, model, STD, exp_tanh(), schedule)
+        for rep, probe in zip(reports, probes, strict=True):
+            est = covariation_limit(integral, probe, schedule)
+            assert rep.lhs.tobytes() == est.limit.tobytes()
+            assert rep.error_estimate == est.error_estimate + fwd.error_estimate
+            assert rep.converged == (est.converged and fwd.converged)

@@ -20,7 +20,7 @@ from dirichlet_reg import (
     simulate_batch,
     simulate_path,
 )
-from dirichlet_reg.simulate import _circulant_root, _Substreams
+from dirichlet_reg.simulate import _QUAD_NODES, _circulant_root, _gauss_rule, _Substreams
 
 FAMILIES = {
     "brownian": BrownianMotion(1.0),
@@ -332,3 +332,12 @@ class TestLawQuadrature:
     def test_gaussian_second_moment(self):
         law = GaussianJumps(0.3, 0.5)
         assert law_expectation(law, lambda x: x**2) == pytest.approx(0.3**2 + 0.5**2)
+
+    @pytest.mark.parametrize("rule", [np.polynomial.hermite.hermgauss,
+                                      np.polynomial.legendre.leggauss])
+    def test_gauss_rule_is_built_once_and_read_only(self, rule):
+        x, w = _gauss_rule(rule)
+        assert _gauss_rule(rule) is _gauss_rule(rule)
+        assert not x.flags.writeable and not w.flags.writeable
+        fresh = rule(_QUAD_NODES)
+        assert x.tobytes() == fresh[0].tobytes() and w.tobytes() == fresh[1].tobytes()
