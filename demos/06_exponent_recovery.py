@@ -33,7 +33,7 @@ xs = ExponentGrid.symmetric_grid(4.0, 4001)
 dens = 2.0 * np.exp(-(xs**2) / (2 * 0.25**2)) / (0.25 * np.sqrt(2 * np.pi))
 tri = Triplet1D(0.5, 1.0, GriddedDensity(xs, dens), k)
 grid = ExponentGrid.from_triplet(tri, u_max=40.0, m=2048)
-rec = recover_triplet(grid, w=2.0, k=k)
+rec = recover_triplet(grid, w=2.0)
 print(f"  recovered b = {rec.b:.4f}, c = {rec.c:.4f}")
 print(f"  unrecovered cells (weight guard near 0): {rec.unrecovered_cells.size}")
 print(f"  forward-map residual: {rec.residual_sup:.3f}")
@@ -41,6 +41,6 @@ print(f"  forward-map residual: {rec.residual_sup:.3f}")
 print("\nsigned measure: atoms +1 at x=0.5 and -0.5 at x=-0.8")
 tri = Triplet1D(0.0, 0.0, WeightedAtoms(np.array([0.5, -0.8]), np.array([1.0, -0.5])), k)
 grid = ExponentGrid.from_triplet(tri, u_max=40.0, m=2048)
-rec = recover_triplet(grid, w=2.0, k=k)
+rec = recover_triplet(grid, w=2.0)
 for x0, true in [(0.5, 1.0), (-0.8, -0.5)]:
     print(f"  mass near {x0:+.1f}: {atom_mass(rec, x0):+.4f} (true {true:+.1f})")

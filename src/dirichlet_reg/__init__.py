@@ -71,7 +71,6 @@ from .residuals import (
     martingale_mean_test,
     residual_ensemble,
     semimartingale_residual,
-    time_homogeneous,
     weak_dirichlet_residual,
 )
 from .levyexponent import (

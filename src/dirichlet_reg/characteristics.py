@@ -84,13 +84,13 @@ class TruncationFunction:
         return self.fn(np.asarray(x, dtype=np.float64))
 
 
-def standard_truncation(cutoff: float = 1.0) -> TruncationFunction:
-    """k(x) = x on |x| <= cutoff, zero beyond (discontinuous at the cutoff)."""
+def standard_truncation() -> TruncationFunction:
+    """k(x) = x on |x| <= 1, zero beyond (discontinuous at |x| = 1)."""
 
     def fn(x):
-        return np.where(np.abs(x) <= cutoff, x, 0.0)
+        return np.where(np.abs(x) <= 1.0, x, 0.0)
 
-    return TruncationFunction(fn=fn, bound=cutoff, name="standard")
+    return TruncationFunction(fn=fn, bound=1.0, name="standard")
 
 
 def smooth_clip_truncation() -> TruncationFunction:

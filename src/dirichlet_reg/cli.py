@@ -66,6 +66,7 @@ from .simulate import (
     SeedSpec,
     UniformJumps,
     _QUAD_NODES,
+    _component_list,
     simulate_path,
 )
 
@@ -93,6 +94,8 @@ _DEFAULTS = {
 _MODEL_DEFAULTS = {"brownian": {"sigma": 1.0}, "fbm": {"scale": 1.0}}
 _RECOVER_DEFAULTS = {"w": 2.0, "x_max": 4.0, "x_cells": 1024, "weight_guard": 1e-3}
 _HEAVISIDE_DEFAULTS = {"jump_time": 0.5, "jump_size": 1.0}
+# the largest Poisson mean numpy's Generator.poisson draws (its POISSON_LAM_MAX)
+_POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 
 class ConfigError(ValueError):
@@ -185,12 +188,20 @@ def _build_law(spec: dict):
     raise ConfigError(f"unknown law kind {kind!r}")
 
 
-def _build_model(spec: dict):
-    """The model of a config's ``model`` section; bad parameters are config errors."""
+def _build_model(cfg: dict):
+    """The model of a config's ``model`` section; bad parameters, and a jump
+    rate whose Poisson mean over the horizon numpy cannot draw, are config
+    errors."""
     try:
-        return _model_from_spec(spec)
+        model = _model_from_spec(cfg["model"])
     except ValueError as exc:
         raise ConfigError(f"bad model: {exc}") from exc
+    horizon = cfg["grid"]["horizon"]
+    for comp in _component_list(model):
+        if isinstance(comp, CompoundPoisson) and comp.rate * horizon > _POISSON_LAM_MAX:
+            raise ConfigError(f"bad model: rate {comp.rate!r} over horizon {horizon!r} is a "
+                              f"Poisson mean above {_POISSON_LAM_MAX:.6g}, the largest numpy draws")
+    return model
 
 
 def _model_from_spec(spec: dict):
@@ -243,7 +254,7 @@ def _source_path(cfg: dict, grid: TimeGrid) -> CadlagPath:
     if kind == "model":
         if "model" not in cfg:
             raise ConfigError("source kind 'model' needs a model in the config")
-        return simulate_path(_build_model(cfg["model"]), grid, SeedSpec(cfg["seed"], 0))
+        return simulate_path(_build_model(cfg), grid, SeedSpec(cfg["seed"], 0))
     if kind == "csv":
         try:
             X = CadlagPath.from_csv(src["file"])
@@ -316,7 +327,7 @@ def _write_manifest(outdir: Path, cfg: dict, command: str, verdicts: dict,
 
 def cmd_simulate(cfg: dict, outdir: Path):
     grid = _build_grid(cfg)
-    model = _build_model(cfg["model"])
+    model = _build_model(cfg)
     n = cfg["paths"]
     finals = np.empty(n)
     for i in range(n):
@@ -359,7 +370,7 @@ def _estimator_command(cfg: dict, outdir: Path, command: str):
 
 def cmd_residual(cfg: dict, outdir: Path):
     grid = _build_grid(cfg)
-    model = _build_model(cfg["model"])
+    model = _build_model(cfg)
     k = _truncation(cfg)
     for t in cfg["times"]:
         try:
@@ -393,7 +404,7 @@ def cmd_residual(cfg: dict, outdir: Path):
 
 def cmd_decompose(cfg: dict, outdir: Path):
     grid = _build_grid(cfg)
-    model = _build_model(cfg["model"])
+    model = _build_model(cfg)
     k = _truncation(cfg)
     schedule = _schedule(cfg["eps_multiples"], grid)
     X = simulate_path(model, grid, SeedSpec(cfg["seed"], 0))
@@ -462,7 +473,7 @@ def cmd_sweep(cfg: dict, outdir: Path):
     horizon = float(cfg["grid"]["horizon"])
     grids = [TimeGrid(horizon, int(steps)) for steps in sw["steps_list"]]
     schedules = [_schedule(eps_multiples, grid) for grid in grids]
-    model = _build_model(cfg["model"])
+    model = _build_model(cfg)
     blocks = []
     for grid, schedule in zip(grids, schedules):
         X = simulate_path(model, grid, SeedSpec(cfg["seed"], 0))

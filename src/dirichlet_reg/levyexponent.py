@@ -116,12 +116,6 @@ class GriddedDensity:
     def integrate(self, f) -> complex:
         return complex(np.sum(self.nodes()[1] * f(self.xs)))
 
-    def variation_check(self) -> float:
-        """Total-variation integral of 1 ^ x^2 (finite by construction)."""
-        return float(
-            np.sum(self._weights() * np.abs(self.density) * np.minimum(1.0, self.xs**2))
-        )
-
 
 LevyMeasure1D = Union[WeightedAtoms, GriddedDensity]
 
@@ -277,7 +271,6 @@ class RecoveredTriplet:
 def recover_triplet(
     grid: ExponentGrid,
     w: float = 2.0,
-    k: TruncationFunction | None = None,
     x_max: float = 4.0,
     x_cells: int = 1024,
     weight_guard: float = 1e-3,
@@ -289,10 +282,9 @@ def recover_triplet(
     Lambda comes from the direct-quadrature inverse transform of the
     offset-free phi_w divided by the sinc weight, with cells where the weight
     is below ``weight_guard`` flagged unrecovered; the drift is the average of
-    Im(psi corrected by the recovered c and Lambda)/u over 0.1 <= |u| <= 1.
+    Im(psi corrected by the recovered c and Lambda)/u over 0.1 <= |u| <= 1,
+    under the standard truncation.
     """
-    if k is None:
-        k = standard_truncation()
     if grid.u.size < 512:
         raise ValueError("recovery needs at least 512 exponent samples")
     in_window = (np.abs(grid.u) >= 0.1) & (np.abs(grid.u) <= 1.0)
@@ -348,6 +340,7 @@ def recover_triplet(
 
     u_b = grid.u[in_window]
     psi_b = grid.psi[in_window]
+    k = standard_truncation()
     kx = np.asarray(k(xs), np.float64)
     cell_w = np.where(mask, dx, 0.0)
     integ = (

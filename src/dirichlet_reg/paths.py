@@ -137,9 +137,6 @@ class CadlagPath:
             return float(self.values[i] - self.jumps[i])
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
-    def jump_times(self) -> np.ndarray:
-        return self.jump_indices * self.grid.dt
-
     def squared_jump_trajectory(self) -> np.ndarray:
         """Cumulative sum of squared jumps, evaluated at every node."""
         return np.cumsum(self.jumps ** 2)

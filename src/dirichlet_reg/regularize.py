@@ -250,11 +250,7 @@ class CovariationEstimate:
     trajectories: np.ndarray  # shape (n_eps, n_nodes), coarsest first
     limit: np.ndarray
     error_estimate: float
-    sup_diffs: np.ndarray
     converged: bool
-
-    def at(self, t: float) -> float:
-        return float(self.limit[self.grid.index_of(t)])
 
 
 def _sup_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -303,7 +299,6 @@ def _limit(
         trajectories=traj,
         limit=traj[-1].copy(),
         error_estimate=float(diffs[-1]) if diffs.size else 0.0,
-        sup_diffs=diffs,
         converged=bool(converged),
     )
 

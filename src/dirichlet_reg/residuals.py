@@ -57,7 +57,6 @@ __all__ = [
     "exp_tanh",
     "damped_sine",
     "bump",
-    "time_homogeneous",
     "combine_test_functions",
     "ResidualPath",
     "weak_dirichlet_residual",
@@ -150,26 +149,6 @@ def bump() -> TestFunction:
         return np.where(u < 1.0, val, 0.0)
 
     return TestFunction(f, ft, fx, fxx, bound=1.0, name="bump")
-
-
-def time_homogeneous(
-    f: Callable, fx: Callable, fxx: Callable, bound: float, name: str
-) -> TestFunction:
-    """Wraps x-only evaluators into a TestFunction with dF/dt = 0."""
-
-    def F(t, x):
-        return np.asarray(f(x), np.float64) + 0.0 * np.asarray(t)
-
-    def Ft(t, x):
-        return np.zeros(np.broadcast(np.asarray(t), np.asarray(x)).shape)
-
-    def Fx(t, x):
-        return np.asarray(fx(x), np.float64) + 0.0 * np.asarray(t)
-
-    def Fxx(t, x):
-        return np.asarray(fxx(x), np.float64) + 0.0 * np.asarray(t)
-
-    return TestFunction(F, Ft, Fx, Fxx, bound=bound, name=name)
 
 
 def combine_test_functions(a: float, F: TestFunction, b: float, G: TestFunction) -> TestFunction:
@@ -391,7 +370,6 @@ class ResidualEnsemble:
     """Residual and path samples at the declared test and probe times."""
 
     times: tuple[float, ...]              # test times t
-    probe_times: tuple[float, ...]        # earlier times carrying path values
     residual_at: dict[float, np.ndarray]  # time -> (N,) residual samples
     path_at: dict[float, np.ndarray]      # probe time -> (N,) path values
     n_paths: int
@@ -438,13 +416,12 @@ def residual_ensemble(
     _check_mode(chars, mode)
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
-    probe_times, _ = _probe_plan(times)
-    s_idx = {s: grid.index_of(s) for s in probe_times}
+    s_idx = {s: grid.index_of(s) for s in _probe_plan(times)[0]}
     # residual increments need M at probe times too
-    m_idx = {t: grid.index_of(t) for t in sorted(set(times) | set(probe_times))}
+    m_idx = {t: grid.index_of(t) for t in sorted(set(times) | set(s_idx))}
 
     res_at = {t: np.empty(n_paths) for t in m_idx}
-    path_at = {s: np.empty(n_paths) for s in probe_times}
+    path_at = {s: np.empty(n_paths) for s in s_idx}
     nonconverged = jumps = 0
     seconds = {"simulate": 0.0, "residual": 0.0}
 
@@ -472,7 +449,6 @@ def residual_ensemble(
 
     return ResidualEnsemble(
         times=tuple(times),
-        probe_times=probe_times,
         residual_at=res_at,
         path_at=path_at,
         n_paths=n_paths,

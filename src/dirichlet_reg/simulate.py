@@ -19,6 +19,7 @@ sizes), which keeps left limits exact and estimators deterministic.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
@@ -136,13 +137,21 @@ def law_expectation(law: JumpLaw, f: Callable[[np.ndarray], np.ndarray]) -> floa
 # Model families
 # ---------------------------------------------------------------------------
 
+def _check_diffusion(name: str, value: float) -> None:
+    """A diffusion coefficient is nonnegative, and its square (the rate of
+    the continuous bracket) is a finite float."""
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    if not math.isfinite(float(value) * float(value)):
+        raise ValueError(f"{name} = {value!r} has a square beyond the float range")
+
+
 @dataclass(frozen=True)
 class BrownianMotion:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        _check_diffusion("sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -153,8 +162,7 @@ class FractionalBrownianMotion:
     def __post_init__(self):
         if not (0.5 < self.hurst < 1.0):
             raise ValueError(f"hurst must lie in (0.5, 1), got {self.hurst}")
-        if self.scale < 0:
-            raise ValueError("scale must be nonnegative")
+        _check_diffusion("scale", self.scale)
 
 
 @dataclass(frozen=True)
@@ -182,8 +190,9 @@ class LevyJumpDiffusion:
     law: JumpLaw
 
     def __post_init__(self):
-        if self.sigma < 0 or self.rate < 0:
-            raise ValueError("sigma and rate must be nonnegative")
+        _check_diffusion("sigma", self.sigma)
+        if self.rate < 0:
+            raise ValueError("rate must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -303,7 +303,7 @@ def test_criterion_8_exponent_round_trip():
     )
     tri = Triplet1D(0.5, 1.0, gauss, STD)
     g = ExponentGrid.from_triplet(tri, u_max=40.0, m=2048)
-    rec = recover_triplet(g, w=2.0, k=STD)
+    rec = recover_triplet(g, w=2.0)
     b_rel = abs(rec.b - 0.5) / 0.5
     c_rel = abs(rec.c - 1.0) / 1.0
     win = (np.abs(rec.lam.xs) >= 0.05) & (np.abs(rec.lam.xs) <= 1.5)
@@ -312,14 +312,14 @@ def test_criterion_8_exponent_round_trip():
         np.trapezoid(np.abs(rec.lam.density - true)[win], rec.lam.xs[win])
         / np.trapezoid(np.abs(true)[win], rec.lam.xs[win])
     )
-    c_w3 = recover_triplet(g, w=3.0, k=STD).c
+    c_w3 = recover_triplet(g, w=3.0).c
     w_rel = abs(c_w3 - rec.c) / abs(rec.c)
 
     atoms = Triplet1D(
         0.0, 0.0, WeightedAtoms(np.array([0.5, -0.8]), np.array([1.0, -0.5])), STD
     )
     g_a = ExponentGrid.from_triplet(atoms, u_max=40.0, m=2048)
-    rec_a = recover_triplet(g_a, w=2.0, k=STD)
+    rec_a = recover_triplet(g_a, w=2.0)
     atom_errs = [
         abs(atom_mass(rec_a, 0.5) - 1.0) / 1.0,
         abs(atom_mass(rec_a, -0.8) - (-0.5)) / 0.5,

@@ -182,6 +182,25 @@ class TestBadInput:
         err = self.check_rejected(tmp_path, command, cfg, capsys, extra)
         assert f"non-finite number at {key}\n" in err
 
+    POINT = {"kind": "discrete", "values": [1.0], "probabilities": [1.0]}
+    OVERFLOW = {
+        "residual_sigma": ("residual", {"kind": "brownian", "sigma": 1e300}, "sigma"),
+        "decompose_sigma": ("decompose", {"kind": "brownian", "sigma": 1e300}, "sigma"),
+        "qv_sigma": ("qv", {"kind": "brownian", "sigma": 1e160}, "sigma"),
+        "qv_scale": ("qv", {"kind": "fbm", "hurst": 0.7, "scale": 1e160}, "scale"),
+        "simulate_rate": ("simulate", {"kind": "compound_poisson", "rate": 1e19,
+                                       "law": POINT}, "rate"),
+        "residual_rate": ("residual", {"kind": "levy_jump_diffusion", "drift": 0.0,
+                                       "sigma": 1.0, "rate": 1e19, "law": POINT}, "rate"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOW))
+    def test_overflowing_parameter_exits_2(self, tmp_path, capsys, case):
+        command, model, name = self.OVERFLOW[case]
+        cfg = {"grid": self.GRID, "paths": 10, "model": model}
+        err = self.check_rejected(tmp_path, command, cfg, capsys)
+        assert f"bad model: {name} " in err
+
     def test_zero_size_heaviside_fixture_exits_2(self, tmp_path, capsys):
         cfg = {"grid": self.GRID, "source": {"kind": "fixture", "name": "heaviside",
                                              "jump_size": 0.0}}

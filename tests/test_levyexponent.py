@@ -127,10 +127,6 @@ class TestExponentEval:
         i0 = np.flatnonzero(g.u == 0.0)[0]
         assert abs(g.psi[i0]) < 1e-12
 
-    def test_signed_measure_variation_is_finite(self):
-        lam = gaussian_density_measure()
-        assert np.isfinite(lam.variation_check())
-
 
 class TestPhiW:
     def test_gaussian_part_gives_flat_sixth(self):
@@ -198,7 +194,7 @@ class TestRecovery:
     @pytest.mark.parametrize("measure", ["gridded", "signed_atoms"])
     def test_bits_equal_the_dense_phase_matrices(self, measure, m, w, x_cells):
         g = ExponentGrid.from_triplet(Triplet1D(0.5, 1.0, MEASURES[measure], STD), 40.0, m)
-        rec = recover_triplet(g, w=w, k=STD, x_cells=x_cells)
+        rec = recover_triplet(g, w=w, x_cells=x_cells)
         dc, density = reference_recovery(g, w, x_cells=x_cells)
         assert np.array(rec.diagnostics["dc"]).tobytes() == np.array([dc.real, dc.imag]).tobytes()
         assert rec.lam.density.tobytes() == density.tobytes()
@@ -207,7 +203,7 @@ class TestRecovery:
         g = ExponentGrid(
             ExponentGrid.symmetric_grid(40.0, 2048), np.zeros(2048, dtype=complex)
         )
-        rec = recover_triplet(g, w=2.0, k=STD)
+        rec = recover_triplet(g, w=2.0)
         assert abs(rec.b) < 1e-8
         assert abs(rec.c) < 1e-8
         assert np.max(np.abs(rec.lam.density)) < 1e-8
@@ -216,7 +212,7 @@ class TestRecovery:
         lam = gaussian_density_measure(weight=2.0, sd=0.25)
         tri = Triplet1D(0.5, 1.0, lam, STD)
         g = ExponentGrid.from_triplet(tri, u_max=40.0, m=2048)
-        rec = recover_triplet(g, w=2.0, k=STD)
+        rec = recover_triplet(g, w=2.0)
         assert abs(rec.b - 0.5) / 0.5 < 0.05
         assert abs(rec.c - 1.0) / 1.0 < 0.05
         win = (np.abs(rec.lam.xs) >= 0.05) & (np.abs(rec.lam.xs) <= 1.5)
@@ -229,7 +225,7 @@ class TestRecovery:
         lam = WeightedAtoms(np.array([0.5, -0.8]), np.array([1.0, -0.5]))
         tri = Triplet1D(0.0, 0.0, lam, STD)
         g = ExponentGrid.from_triplet(tri, u_max=40.0, m=2048)
-        rec = recover_triplet(g, w=2.0, k=STD)
+        rec = recover_triplet(g, w=2.0)
         assert abs(atom_mass(rec, 0.5) - 1.0) < 0.05
         assert abs(atom_mass(rec, -0.8) - (-0.5)) < 0.05 * 0.5
         assert abs(rec.b) < 0.05
@@ -238,14 +234,14 @@ class TestRecovery:
     def test_diffusion_coefficient_w_independent(self):
         tri = Triplet1D(0.5, 1.0, gaussian_density_measure(), STD)
         g = ExponentGrid.from_triplet(tri, u_max=40.0, m=2048)
-        c2 = recover_triplet(g, w=2.0, k=STD).c
-        c3 = recover_triplet(g, w=3.0, k=STD).c
+        c2 = recover_triplet(g, w=2.0).c
+        c3 = recover_triplet(g, w=3.0).c
         assert abs(c3 - c2) / abs(c2) < 0.02
 
     def test_guarded_cells_are_flagged(self):
         tri = Triplet1D(0.0, 1.0, gaussian_density_measure(), STD)
         g = ExponentGrid.from_triplet(tri, u_max=40.0, m=2048)
-        rec = recover_triplet(g, w=2.0, k=STD)
+        rec = recover_triplet(g, w=2.0)
         assert rec.unrecovered_cells.size > 0
         assert np.max(np.abs(rec.unrecovered_cells)) < 0.05  # hole hugs the origin
         assert np.all(rec.lam.density[~rec.recovered_mask] == 0.0)
@@ -255,7 +251,7 @@ class TestRecovery:
             ExponentGrid.symmetric_grid(40.0, 256), np.zeros(256, dtype=complex)
         )
         with pytest.raises(ValueError):
-            recover_triplet(g, w=2.0, k=STD)
+            recover_triplet(g, w=2.0)
 
     def test_drift_window_without_samples_is_rejected(self):
         # 512 samples on u_max = 4000 are 15.66 apart: none has 0.1 <= |u| <= 1
@@ -270,7 +266,7 @@ class TestRecovery:
         g = ExponentGrid.from_triplet(tri, u_max=40.0, m=2048)
         tracemalloc.start()
         try:
-            recover_triplet(g, w=2.0, k=STD, x_cells=1024)
+            recover_triplet(g, w=2.0, x_cells=1024)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -279,7 +275,7 @@ class TestRecovery:
     def test_forward_residual_reported(self):
         tri = Triplet1D(0.5, 1.0, gaussian_density_measure(), STD)
         g = ExponentGrid.from_triplet(tri, u_max=40.0, m=2048)
-        rec = recover_triplet(g, w=2.0, k=STD)
+        rec = recover_triplet(g, w=2.0)
         assert np.isfinite(rec.residual_sup)
 
     def test_kernel_null_halfwidth_is_a_mass_null(self):

@@ -89,12 +89,11 @@ class TestJumpRegistry:
     def test_jump_atoms_heaviside(self, grid):
         p = heaviside(grid)
         assert p.jump_indices.size == 1
-        assert p.jump_times()[0] == pytest.approx(0.5)
         assert p.jump_sizes[0] == 1.0
 
     def test_jump_atoms_continuous_path_empty(self, grid):
         p = path_from_function(grid, np.sin)
-        assert p.jump_indices.size == p.jump_sizes.size == p.jump_times().size == 0
+        assert p.jump_indices.size == p.jump_sizes.size == 0
 
     def test_jump_atoms_match_value_increments(self):
         # the jumps of a pure-jump path must agree with the value steps
@@ -115,7 +114,8 @@ def _looped_star_integral(h, X, t):
     node, one scalar call each."""
     total = 0.0
     last = X.grid.index_of(t)
-    atoms = zip(X.jump_indices, X.jump_times(), X.jump_sizes, X.left_values()[X.jump_indices])
+    atoms = zip(X.jump_indices, X.jump_indices * X.grid.dt, X.jump_sizes,
+                X.left_values()[X.jump_indices])
     for i, s, x, xl in atoms:
         if i <= last:
             total += h(s, x, xl)

@@ -453,7 +453,7 @@ class TestEstimatorProperties:
         lhs, rhs = pair[0].values, pair[1].values
         grid = pair[0].grid
         estimates = [
-            CovariationEstimate(grid, np.ones(1), lhs[None], lhs, err, np.empty(0), ok)
+            CovariationEstimate(grid, np.ones(1), lhs[None], lhs, err, ok)
             for err, ok in bars
         ]
         rep = _identity_report("property", lhs, rhs, estimates)

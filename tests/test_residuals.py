@@ -35,7 +35,6 @@ from dirichlet_reg import (
     simulate_path,
     smooth_clip_truncation,
     standard_truncation,
-    time_homogeneous,
     weak_dirichlet_residual,
 )
 from dirichlet_reg import residuals
@@ -85,16 +84,6 @@ class TestTestFunctions:
     def test_bounded(self, F):
         T, X = np.meshgrid(np.linspace(0, 5, 11), np.linspace(-50, 50, 2001))
         assert np.max(np.abs(F.f(T, X))) <= F.bound + 1e-12
-
-    def test_time_homogeneous_wrapper(self):
-        th = time_homogeneous(
-            np.tanh, lambda x: 1 - np.tanh(x) ** 2,
-            lambda x: -2 * np.tanh(x) * (1 - np.tanh(x) ** 2),
-            bound=1.0, name="tanh",
-        )
-        x = np.linspace(-2, 2, 11)
-        assert np.all(th.ft(np.ones(11), x) == 0.0)
-        assert np.allclose(th.f(np.zeros(11), x), np.tanh(x))
 
 
 class TestResidualConstruction:
@@ -169,9 +158,11 @@ class TestResidualConstruction:
         grid = TimeGrid(1.0, 400)
         model = CompoundPoisson(1.0, DiscreteAtoms((2.0, -2.0), (0.5, 0.5)))
         X = simulate_path(model, grid, SeedSpec(9, 0))
-        th = time_homogeneous(
-            np.tanh, lambda x: 1 - np.tanh(x) ** 2,
-            lambda x: -2 * np.tanh(x) * (1 - np.tanh(x) ** 2),
+        th = residuals.TestFunction(
+            f=lambda t, x: np.tanh(x) + 0.0 * t,
+            ft=lambda t, x: np.zeros(np.broadcast(t, x).shape),
+            fx=lambda t, x: 1 - np.tanh(x) ** 2 + 0.0 * t,
+            fxx=lambda t, x: -2 * np.tanh(x) * (1 - np.tanh(x) ** 2) + 0.0 * t,
             bound=1.0, name="tanh",
         )
         r = semimartingale_residual(X, model, STD, th)
@@ -287,7 +278,6 @@ class TestMartingaleMeanTest:
         x = {s: rng.standard_normal(n) for s in probe}
         return ResidualEnsemble(
             times=times,
-            probe_times=probe,
             residual_at={t: residual_fn(t, n) for t in m_times},
             path_at=x,
             n_paths=n,

@@ -250,12 +250,7 @@ class TestStatistics:
     def test_brownian_terminal_variance(self):
         # X_1 is exactly N(0, sigma^2) at any resolution
         grid = TimeGrid(1.0, 8)
-        finals = np.array(
-            [
-                simulate_path(BrownianMotion(1.0), grid, SeedSpec(123, i)).values[-1]
-                for i in range(10_000)
-            ]
-        )
+        finals = simulate_batch(BrownianMotion(1.0), grid, 123, range(10_000)).values[:, -1]
         assert abs(np.var(finals) - 1.0) < 0.05
         assert abs(np.mean(finals)) < 3.0 / np.sqrt(10_000)
 
@@ -263,9 +258,7 @@ class TestStatistics:
         grid = TimeGrid(1.0, 64)
         H, scale = 0.7, 1.0
         model = FractionalBrownianMotion(H, scale)
-        vals = np.empty((10_000, grid.n_nodes))
-        for i in range(10_000):
-            vals[i] = simulate_path(model, grid, SeedSpec(31, i)).values
+        vals = simulate_batch(model, grid, 31, range(10_000)).values
 
         def R(s, t):
             return 0.5 * scale**2 * (s ** (2 * H) + t ** (2 * H) - abs(t - s) ** (2 * H))
@@ -279,12 +272,7 @@ class TestStatistics:
         grid = TimeGrid(1.0, 1000)
         lam = 2.0
         model = CompoundPoisson(lam, GaussianJumps(0.0, 1.0))
-        counts = np.array(
-            [
-                len(simulate_path(model, grid, SeedSpec(77, i)).jump_indices)
-                for i in range(10_000)
-            ]
-        )
+        counts = np.count_nonzero(simulate_batch(model, grid, 77, range(10_000)).jumps, axis=1)
         assert abs(np.mean(counts) - lam) < 3 * np.sqrt(lam / 10_000)
 
     def test_composite_components_uncorrelated(self):
@@ -296,12 +284,8 @@ class TestStatistics:
                 CompoundPoisson(2.0, GaussianJumps(0.0, 1.0)),
             )
         )
-        incs = {"bm": [], "fbm": [], "cp": []}
-        for i in range(10_000):
-            p = simulate_path(model, grid, SeedSpec(55, i))
-            for name in incs:
-                incs[name].append(np.diff(p.components[name].values))
-        flat = {k: np.concatenate(v) for k, v in incs.items()}
+        parts = simulate_batch(model, grid, 55, range(10_000)).components
+        flat = {name: np.diff(parts[name].values).ravel() for name in ("bm", "fbm", "cp")}
         for a, b in [("bm", "fbm"), ("bm", "cp"), ("fbm", "cp")]:
             corr = np.corrcoef(flat[a], flat[b])[0, 1]
             assert abs(corr) < 0.05
