@@ -125,6 +125,7 @@ class CharacteristicsModel:
     ``drift_slope`` is the linear coefficient; ``drift_profile`` an optional
     deterministic extra (finite variation); ``drift_path_fn`` an optional
     path-dependent rough extra, evaluated on a path's component logs.
+    ``c_rate`` is the slope of C(t) = c_rate * t.
     ``compensators`` lists (rate, law) pairs with nu(dt, dx) = rate dt law(dx);
     ``fixed_atoms`` lists (time, ((x, weight), ...)) entries of nu({s} x dx).
     """
@@ -133,7 +134,7 @@ class CharacteristicsModel:
     drift_slope: float = 0.0
     drift_profile: Callable[[np.ndarray], np.ndarray] | None = None
     drift_path_fn: Callable[[CadlagPath], np.ndarray] | None = None
-    c_eval: Callable[[np.ndarray], np.ndarray] | None = None
+    c_rate: float = 0.0
     compensators: tuple[tuple[float, JumpLaw], ...] = ()
     fixed_atoms: FixedAtomSchedule = ()
 
@@ -142,9 +143,7 @@ class CharacteristicsModel:
         return self.drift_path_fn is None
 
     def c_values(self, grid: TimeGrid) -> np.ndarray:
-        if self.c_eval is None:
-            return np.zeros(grid.n_nodes)
-        return np.asarray(self.c_eval(grid.times()), dtype=np.float64)
+        return self.c_rate * grid.times()
 
     def compensator_k_rate(self) -> float:
         """Total rate of k-truncated jump compensation, sum of rate*E[k(J)]."""
@@ -247,7 +246,7 @@ def known_characteristics(model: ModelSpec, k: TruncationFunction) -> Characteri
         drift_slope=0.0 if slope is None else slope,
         drift_profile=profile,
         drift_path_fn=_fbm_sum_fn(fbm_names) if fbm_names else None,
-        c_eval=(lambda t, r=c_rate: r * t) if c_rate > 0 else None,
+        c_rate=c_rate,
         compensators=tuple(comp_list),
     )
 

@@ -7,7 +7,8 @@ Configurations are validated against the JSON schema shipped with the
 package; every run writes a manifest with the fully resolved configuration
 (all defaults explicit), tool version, timestamps, input hashes and a verdict
 summary.  Re-running a command from its manifest reproduces all result files
-byte for byte, independently of the batch size used internally.
+byte for byte.  Configs hold only experiment settings: a residual ensemble's
+batch size follows from the grid.
 
 Exit codes: 0 pass, 2 configuration error, 3 estimator non-convergence,
 4 statistical failure.
@@ -35,14 +36,14 @@ from .characteristics import (
     _decomposition_brackets,
     _drift_bracket_report,
     decompose,
-    known_characteristics,
     smooth_clip_truncation,
     standard_truncation,
 )
-from .paths import CadlagPath, GridAlignmentError, TimeGrid, _write_csv
+from .paths import CadlagPath, TimeGrid, _write_csv
 from .regularize import (
     CovariationEstimate,
     EpsilonSchedule,
+    _DEFAULT_MULTIPLES,
     covariation_limit,
     forward_integral_limit,
 )
@@ -78,14 +79,12 @@ EXIT_STATFAIL = 4
 _DEFAULTS = {
     "seed": 0,
     "paths": 1,
-    "eps_multiples": [32, 16, 8, 4, 2, 1],
+    "eps_multiples": list(_DEFAULT_MULTIPLES),
     "truncation": "standard",
     "function": "exptanh",
     "alpha_se": 3.0,
     "times": [0.25, 0.5, 1.0],
     "mode": "weak_dirichlet",
-    "inject_drift": 0.0,
-    "batch_size": 1024,
     "integrand": "constant",
     "tolerance": 0.05,
     "source": {"kind": "model"},
@@ -151,7 +150,7 @@ def load_config(path: str) -> dict:
 def resolve_config(raw: dict, args: argparse.Namespace) -> dict:
     cfg = dict(_DEFAULTS)
     cfg.update(raw)
-    for key in ("seed", "paths", "function", "alpha_se", "batch_size"):
+    for key in ("seed", "paths", "function", "alpha_se"):
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
     for key in ("steps", "horizon"):
@@ -371,27 +370,21 @@ def _estimator_command(cfg: dict, outdir: Path, command: str):
 def cmd_residual(cfg: dict, outdir: Path):
     grid = _build_grid(cfg)
     model = _build_model(cfg)
-    k = _truncation(cfg)
-    for t in cfg["times"]:
-        try:
-            grid.index_of(t)
-        except GridAlignmentError as exc:
-            raise ConfigError(f"residual time {t}: {exc}") from exc
-    if cfg["mode"] == "semimartingale" and not known_characteristics(model, k).bk_finite_variation:
-        raise ConfigError("mode semimartingale needs a finite-variation drift; use weak_dirichlet")
-    ens = residual_ensemble(
-        model,
-        grid,
-        k,
-        _test_function(cfg),
-        master_seed=cfg["seed"],
-        n_paths=cfg["paths"],
-        times=tuple(cfg["times"]),
-        mode=cfg["mode"],
-        schedule=_schedule(cfg["eps_multiples"], grid),
-        batch_size=cfg["batch_size"],
-        inject_drift=cfg["inject_drift"],
-    )
+    schedule = _schedule(cfg["eps_multiples"], grid)
+    try:
+        ens = residual_ensemble(
+            model,
+            grid,
+            _truncation(cfg),
+            _test_function(cfg),
+            master_seed=cfg["seed"],
+            n_paths=cfg["paths"],
+            times=tuple(cfg["times"]),
+            mode=cfg["mode"],
+            schedule=schedule,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"cannot run the residual ensemble: {exc}") from exc
     report = martingale_mean_test(ens, alpha_se=cfg["alpha_se"])
     payload = report.to_dict()
     payload["quadrature_nodes"] = _QUAD_NODES
@@ -510,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--function", choices=["exptanh", "dampedsine", "bump"], default=None)
     p.add_argument("--alpha-se", type=float, default=None, dest="alpha_se")
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
     p.add_argument("--out", default=None, help="output directory (env DIRICHLET_REG_OUT)")
     return p
 

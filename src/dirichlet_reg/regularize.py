@@ -72,11 +72,15 @@ class EpsilonSchedule:
         return eps
 
 
+# the geometric eps multiples of dt that schedules default to
+_DEFAULT_MULTIPLES = (32, 16, 8, 4, 2, 1)
+
+
 def default_schedule(grid: TimeGrid) -> EpsilonSchedule:
-    """The geometric schedule (32, 16, 8, 4, 2, 1) truncated so that
-    eps <= 0.1 * T, or (1,) when no eps fits."""
+    """The default multiples truncated so that eps <= 0.1 * T, or (1,) when
+    no eps fits."""
     cap = 0.1 * grid.T / grid.dt
-    return EpsilonSchedule(tuple(m for m in (32, 16, 8, 4, 2, 1) if m <= cap) or (1,))
+    return EpsilonSchedule(tuple(m for m in _DEFAULT_MULTIPLES if m <= cap) or (1,))
 
 
 def _check_eps(X: CadlagPath, Y: CadlagPath, eps: float) -> int:

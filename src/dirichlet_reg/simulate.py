@@ -113,6 +113,8 @@ class UniformJumps:
     def __post_init__(self):
         if not self.b > self.a:
             raise ValueError("need a < b")
+        if not math.isfinite(self.b - self.a):
+            raise ValueError(f"width b - a of ({self.a!r}, {self.b!r}) is beyond the float range")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.a, self.b, size)

@@ -9,6 +9,7 @@ is an order of magnitude below the Monte Carlo standard errors).
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -256,11 +257,10 @@ def test_criterion_6_martingale_residual_suite():
             passed += sum(abs(z) <= 3.0 for z in zs)
     rate = passed / total
 
-    # negative control: injected drift must fail loudly
-    ens = residual_ensemble(
-        BrownianMotion(1.0), grid, STD, exp_tanh(), 606, 10_000, inject_drift=1.0
-    )
-    bad = martingale_mean_test(ens)
+    # negative control: the drift 1.0 * t added to every residual must fail loudly
+    ens = residual_ensemble(BrownianMotion(1.0), grid, STD, exp_tanh(), 606, 10_000)
+    drifted = {t: r + 1.0 * grid.times()[grid.index_of(t)] for t, r in ens.residual_at.items()}
+    bad = martingale_mean_test(replace(ens, residual_at=drifted))
     control_ok = all(abs(z) > 3.0 for z in bad.zscores)
 
     ok = main_ok and rate >= 0.95 and control_ok
@@ -347,7 +347,8 @@ def test_criterion_8_exponent_round_trip():
     )
 
 
-def test_criterion_9_manifest_reproducibility(tmp_path):
+def test_criterion_9_manifest_reproducibility(tmp_path, monkeypatch):
+    from dirichlet_reg import residuals
     from dirichlet_reg.cli import main
 
     cfg = {
@@ -379,14 +380,13 @@ def test_criterion_9_manifest_reproducibility(tmp_path):
             f.name: f.read_bytes() for f in sorted(d.iterdir()) if f.name != "manifest.json"
         }
 
+    # the first run simulates 64 paths at a time, the replay all 500 at once
     runs = {}
-    for label, extra in {
-        "first": ("--batch-size", "64"),
-        "replay": ("--batch-size", "500"),
-    }.items():
+    for label, batch_nodes in {"first": 64 * 257, "replay": 500 * 257}.items():
+        monkeypatch.setattr(residuals, "_BATCH_NODES", batch_nodes)
         out = tmp_path / label
         src = cfg_file if label == "first" else tmp_path / "first" / "manifest.json"
-        code = main(["residual", "--config", str(src), "--out", str(out), *extra])
+        code = main(["residual", "--config", str(src), "--out", str(out)])
         assert code == 0
         runs[label] = blobs(out)
 

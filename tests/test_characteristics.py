@@ -84,7 +84,7 @@ class TestKnownCharacteristics:
         model = CompoundPoisson(1.0, DiscreteAtoms((2.0, -2.0), (0.5, 0.5)))
         ch = known_characteristics(model, STD)
         assert ch.drift_slope == 0.0
-        assert ch.c_eval is None
+        assert ch.c_rate == 0.0
         assert ch.compensators[0][0] == 1.0
 
     def test_symmetric_uniform_slope_zero(self):

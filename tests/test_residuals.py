@@ -1,4 +1,6 @@
 import functools
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,10 +325,11 @@ def ensemble_bytes(family, mode, batch_size, n_paths=70):
 
 
 class TestEnsembleRunner:
-    @pytest.mark.parametrize("batch_size", [7, 31, 32, 33, 64, 4096])
+    @pytest.mark.parametrize("batch_size", [7, 31, 32, 33, 64, 4096, None])
     @pytest.mark.parametrize("family,mode", FAMILY_MODES)
     def test_results_do_not_depend_on_the_batch_size(self, family, mode, batch_size):
-        # a batch of one is the per-path kernel call
+        # a batch of one is the per-path kernel call; None derives the batch
+        # from the grid
         assert ensemble_bytes(family, mode, batch_size) == ensemble_bytes(family, mode, 1)
 
     @pytest.mark.parametrize("family,mode", FAMILY_MODES)
@@ -395,6 +398,18 @@ class TestEnsembleRunner:
             residual_ensemble(BrownianMotion(1.0), TimeGrid(1.0, 64), STD, exp_tanh(), 0, 10,
                               batch_size=batch_size)
 
+    def test_default_batch_bounds_the_memory_of_a_fine_grid(self):
+        # 256 paths at n = 2^14 in one batch peak near 130 MB; the default
+        # batch of 15 rows peaks near 36 MB
+        grid = TimeGrid(1.0, 2**14)
+        tracemalloc.start()
+        try:
+            residual_ensemble(BrownianMotion(1.0), grid, STD, exp_tanh(), 0, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
     def test_brownian_ensemble_passes(self):
         grid = TimeGrid(1.0, 256)
         ens = residual_ensemble(BrownianMotion(1.0), grid, STD, exp_tanh(), 314, 4000)
@@ -403,10 +418,11 @@ class TestEnsembleRunner:
 
     def test_negative_control_fails(self):
         grid = TimeGrid(1.0, 256)
-        ens = residual_ensemble(
-            BrownianMotion(1.0), grid, STD, exp_tanh(), 314, 2000, inject_drift=1.0
-        )
-        rep = martingale_mean_test(ens)
+        ens = residual_ensemble(BrownianMotion(1.0), grid, STD, exp_tanh(), 314, 2000)
+        # the drift 1.0 * t makes the residual a non-martingale
+        drifted = {t: r + 1.0 * grid.times()[grid.index_of(t)]
+                   for t, r in ens.residual_at.items()}
+        rep = martingale_mean_test(replace(ens, residual_at=drifted))
         assert not rep.passed
         assert all(abs(z) > 3 for z in rep.zscores)
 

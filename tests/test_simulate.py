@@ -57,6 +57,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             UniformJumps(1.0, 1.0)
 
+    @pytest.mark.parametrize("a,b", [(-1e308, 1e308), (-np.inf, 0.0), (0.0, np.inf)])
+    def test_uniform_width_must_be_a_float(self, a, b):
+        with pytest.raises(ValueError, match="width b - a"):
+            UniformJumps(a, b)
+        UniformJumps(-0.5e308, 0.5e308)  # a width of 1e308 is a float
+
     def test_composite_rejects_nesting(self):
         inner = Composite((BrownianMotion(1.0),))
         with pytest.raises(ValueError):
