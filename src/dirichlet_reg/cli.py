@@ -17,6 +17,7 @@ Exit codes: 0 pass, 2 configuration error, 3 estimator non-convergence,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import functools
 import hashlib
@@ -24,6 +25,7 @@ import json
 import math
 import os
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -39,7 +41,7 @@ from .characteristics import (
     smooth_clip_truncation,
     standard_truncation,
 )
-from .paths import CadlagPath, TimeGrid, _write_csv
+from .paths import CadlagPath, TimeGrid, _format, _write_csv
 from .regularize import (
     CovariationEstimate,
     EpsilonSchedule,
@@ -290,9 +292,26 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _long_columns(grid: TimeGrid, est: CovariationEstimate):
-    """``t, eps, value`` columns: one block of grid rows per eps of the estimate."""
-    return (np.tile(grid.times(), len(est.eps_values)),
+    """``t, eps, value`` columns: one block of grid rows per eps of the
+    estimate, the times formatted once."""
+    return (np.tile(_format(grid.times()), len(est.eps_values)),
             np.repeat(est.eps_values, grid.n_nodes), est.trajectories.ravel())
+
+
+def _reject_non_finite(command: str, stage: str, *numbers) -> None:
+    """A NaN or infinity among the numbers ``command`` would write at
+    ``stage`` is a config error: the model or path is too large for float64."""
+    if not all(np.isfinite(x).all() for x in numbers):
+        raise ConfigError(f"{command}: non-finite number in the {stage} "
+                          "(the model or path is too large for float64)")
+
+
+@contextlib.contextmanager
+def _timed(seconds: dict, stage: str):
+    """Adds the wall time of the block to ``seconds[stage]``."""
+    start = time.perf_counter()
+    yield
+    seconds[stage] = seconds.get(stage, 0.0) + time.perf_counter() - start
 
 
 def _hash_file(path: str) -> str:
@@ -329,42 +348,51 @@ def cmd_simulate(cfg: dict, outdir: Path):
     model = _build_model(cfg)
     n = cfg["paths"]
     finals = np.empty(n)
+    seconds = {}
     for i in range(n):
-        p = simulate_path(model, grid, SeedSpec(cfg["seed"], i))
-        p.to_csv(outdir / f"path_{i:05d}.csv")
+        with _timed(seconds, "compute"):
+            p = simulate_path(model, grid, SeedSpec(cfg["seed"], i))
+        with _timed(seconds, "write"):
+            p.to_csv(outdir / f"path_{i:05d}.csv")
         finals[i] = p.values[-1]
     verdicts = {
         "n_paths": n,
         "final_value_mean": float(np.mean(finals)),
         "final_value_variance": float(np.var(finals)) if n > 1 else 0.0,
     }
-    return EXIT_OK, verdicts, [], {}
+    return EXIT_OK, verdicts, [], {"seconds": seconds, "csv_rows": n * grid.n_nodes}
 
 
 def _estimator_command(cfg: dict, outdir: Path, command: str):
-    grid = _build_grid(cfg)
-    X = _source_path(cfg, grid)
-    schedule = _schedule(cfg["eps_multiples"], grid)
-    if command == "qv":
-        est = covariation_limit(X, X, schedule)
-    else:
-        integrand = cfg["integrand"]
-        if integrand == "constant":
-            Y = CadlagPath(grid, np.ones(grid.n_nodes))
-        elif integrand == "identity":
-            Y = X
-        else:
-            Y = CadlagPath(grid, grid.times())
-        est = forward_integral_limit(Y, X, schedule)
-    _write_csv(outdir / f"{command}.csv", ["t", "eps", "value"], *_long_columns(grid, est))
-    summary = {
-        "limit_sup_error": est.error_estimate,
-        "converged": bool(est.converged),
-        "limit_final": float(est.limit[-1]),
-    }
-    _write_json(outdir / f"{command}_summary.json", summary)
+    seconds = {}
+    with _timed(seconds, "compute"):
+        grid = _build_grid(cfg)
+        X = _source_path(cfg, grid)
+        schedule = _schedule(cfg["eps_multiples"], grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if command == "qv":
+                est = covariation_limit(X, X, schedule)
+            else:
+                integrand = cfg["integrand"]
+                if integrand == "constant":
+                    Y = CadlagPath(grid, np.ones(grid.n_nodes))
+                elif integrand == "identity":
+                    Y = X
+                else:
+                    Y = CadlagPath(grid, grid.times())
+                est = forward_integral_limit(Y, X, schedule)
+        _reject_non_finite(command, "estimate", est.trajectories, est.error_estimate)
+        summary = {
+            "limit_sup_error": est.error_estimate,
+            "converged": bool(est.converged),
+            "limit_final": float(est.limit[-1]),
+        }
+    with _timed(seconds, "write"):
+        _write_csv(outdir / f"{command}.csv", ["t", "eps", "value"], *_long_columns(grid, est))
+        _write_json(outdir / f"{command}_summary.json", summary)
     input_files = [cfg["source"]["file"]] if cfg["source"]["kind"] == "csv" else []
-    return (EXIT_OK if est.converged else EXIT_NONCONVERGED), summary, input_files, {}
+    run = {"seconds": seconds, "csv_rows": est.trajectories.size}
+    return (EXIT_OK if est.converged else EXIT_NONCONVERGED), summary, input_files, run
 
 
 def cmd_residual(cfg: dict, outdir: Path):
@@ -396,39 +424,46 @@ def cmd_residual(cfg: dict, outdir: Path):
 
 
 def cmd_decompose(cfg: dict, outdir: Path):
-    grid = _build_grid(cfg)
-    model = _build_model(cfg)
-    k = _truncation(cfg)
-    schedule = _schedule(cfg["eps_multiples"], grid)
-    X = simulate_path(model, grid, SeedSpec(cfg["seed"], 0))
-    dec = decompose(X, model, k)
-    _write_csv(
-        outdir / "decomposition.csv",
-        ["t", "x", "continuous", "compensated_jumps", "drift", "large_jumps"],
-        grid.times(), X.values, dec.continuous.values, dec.compensated_jumps.values,
-        dec.drift.values, dec.large_jumps.values,
-    )
-    tol = cfg["tolerance"]
-    reports = {}
-    nonconverged = False
-    brackets = _decomposition_brackets(X, dec, schedule)
-    for label, rep in (
-        ("drift_bracket", _drift_bracket_report(X, model, k, brackets)),
-        ("continuous_bracket", _continuous_bracket_report(brackets)),
-    ):
-        reports[label] = {
-            "lhs_sup": float(np.max(np.abs(rep.lhs))),
-            "rhs_sup": float(np.max(np.abs(rep.rhs))),
-            "distance": rep.sup_distance,
-            "tolerance": tol,
-            "pass": bool(rep.within(tol)),
-        }
-        nonconverged |= not rep.converged
-    ok = all(v["pass"] for v in reports.values())
-    reports["reconstruction_error"] = dec.reconstruction_error
-    _write_json(outdir / "identity_reports.json", reports)
+    seconds = {}
+    with _timed(seconds, "compute"):
+        grid = _build_grid(cfg)
+        model = _build_model(cfg)
+        k = _truncation(cfg)
+        schedule = _schedule(cfg["eps_multiples"], grid)
+        X = simulate_path(model, grid, SeedSpec(cfg["seed"], 0))
+        tol = cfg["tolerance"]
+        reports = {}
+        nonconverged = False
+        with np.errstate(over="ignore", invalid="ignore"):
+            dec = decompose(X, model, k)
+            brackets = _decomposition_brackets(X, dec, schedule)
+            for label, rep in (
+                ("drift_bracket", _drift_bracket_report(X, model, k, brackets)),
+                ("continuous_bracket", _continuous_bracket_report(brackets)),
+            ):
+                reports[label] = {
+                    "lhs_sup": float(np.max(np.abs(rep.lhs))),
+                    "rhs_sup": float(np.max(np.abs(rep.rhs))),
+                    "distance": rep.sup_distance,
+                    "tolerance": tol,
+                    "pass": bool(rep.within(tol)),
+                }
+                nonconverged |= not rep.converged
+        columns = (grid.times(), X.values, dec.continuous.values, dec.compensated_jumps.values,
+                   dec.drift.values, dec.large_jumps.values)
+        _reject_non_finite("decompose", "decomposition", *columns, dec.reconstruction_error)
+        _reject_non_finite("decompose", "bracket reports", *(
+            r[key] for r in reports.values() for key in ("lhs_sup", "rhs_sup", "distance")))
+        ok = all(v["pass"] for v in reports.values())
+        reports["reconstruction_error"] = dec.reconstruction_error
+    with _timed(seconds, "write"):
+        _write_csv(
+            outdir / "decomposition.csv",
+            ["t", "x", "continuous", "compensated_jumps", "drift", "large_jumps"], *columns,
+        )
+        _write_json(outdir / "identity_reports.json", reports)
     code = EXIT_NONCONVERGED if nonconverged else EXIT_OK if ok else EXIT_STATFAIL
-    return code, reports, [], {}
+    return code, reports, [], {"seconds": seconds, "csv_rows": grid.n_nodes}
 
 
 def cmd_recover(cfg: dict, outdir: Path):
@@ -467,14 +502,23 @@ def cmd_sweep(cfg: dict, outdir: Path):
     grids = [TimeGrid(horizon, int(steps)) for steps in sw["steps_list"]]
     schedules = [_schedule(eps_multiples, grid) for grid in grids]
     model = _build_model(cfg)
-    blocks = []
-    for grid, schedule in zip(grids, schedules):
-        X = simulate_path(model, grid, SeedSpec(cfg["seed"], 0))
-        t, eps, value = _long_columns(grid, covariation_limit(X, X, schedule))
-        blocks.append((np.full(t.size, grid.dt), eps, t, value))
-    dt, eps, t, value = (np.concatenate(c) for c in zip(*blocks))
-    _write_csv(outdir / "sweep.csv", ["dt", "eps", "t", "value"], dt, eps, t, value)
-    return EXIT_OK, {"rows": int(t.size)}, [], {}
+    seconds = {}
+    estimates = []
+    with _timed(seconds, "compute"):
+        for grid, schedule in zip(grids, schedules):
+            X = simulate_path(model, grid, SeedSpec(cfg["seed"], 0))
+            with np.errstate(over="ignore", invalid="ignore"):
+                est = covariation_limit(X, X, schedule)
+            _reject_non_finite("sweep", f"estimate on {grid.n_steps} steps", est.trajectories)
+            estimates.append(est)
+    with _timed(seconds, "write"):
+        blocks = []
+        for grid, est in zip(grids, estimates):
+            t, eps, value = _long_columns(grid, est)
+            blocks.append((np.full(t.size, grid.dt), eps, t, value))
+        dt, eps, t, value = (np.concatenate(c) for c in zip(*blocks))
+        _write_csv(outdir / "sweep.csv", ["dt", "eps", "t", "value"], dt, eps, t, value)
+    return EXIT_OK, {"rows": int(t.size)}, [], {"seconds": seconds, "csv_rows": int(t.size)}
 
 
 # command -> (function, config sections it needs beyond ``grid``)

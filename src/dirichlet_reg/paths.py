@@ -200,14 +200,39 @@ class PathBatch:
         return CadlagPath(self.grid, self.values[j], self.jumps[j], parts)
 
 
+def _format(values) -> np.ndarray:
+    """The ``%.17g`` text of each number, as an object array of ``str``."""
+    values = np.asarray(values, dtype=np.float64)
+    text = ("%.17g," * values.size % tuple(values.tolist())).split(",")[:-1]
+    return np.array(text, dtype=object)
+
+
 def _write_csv(path, header: Sequence[str], *columns) -> None:
-    """Write equal-length columns under ``header``, ``%.17g`` (exact) per number."""
-    table = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
-    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    """Write equal-length columns under ``header``, ``%.17g`` (exact) per number.
+
+    A column is float64 numbers or the ``_format`` text of numbers; a number
+    that repeats is formatted once.  Per block of 4096 rows, a float column
+    that holds one bit pattern (-0.0 and +0.0, and nan payloads, differ) is a
+    literal of the row template and a text column is copied with ``%s``.
+    """
+    columns = [c if c.dtype == object else c.astype(np.float64, copy=False)
+               for c in map(np.asarray, columns)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for block in (table[i:i + 4096] for i in range(0, len(table), 4096)):
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+        for i in range(0, len(columns[0]), 4096):
+            cells, args = [], []
+            for block in (c[i:i + 4096] for c in columns):
+                if block.dtype == object:
+                    cells.append("%s")
+                    args.append(block)
+                elif not np.any((bits := block.view(np.uint64)) != bits[0]):
+                    cells.append("%.17g" % block[0])
+                else:
+                    cells.append("%.17g")
+                    args.append(block)
+            # a text column makes the stacked table an object array
+            flat = np.column_stack(args).ravel().tolist() if args else []
+            fh.write((",".join(cells) + "\r\n") * len(block) % tuple(flat))
 
 
 def _read_csv(path, header: Sequence[str]) -> np.ndarray:

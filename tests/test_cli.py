@@ -226,6 +226,22 @@ class TestBadInput:
         err = self.check_rejected(tmp_path, command, cfg, capsys)
         assert f"bad model: {name} " in err
 
+    # sigma squared is finite, but the squared increments of the coarser eps
+    # overflow: the estimate holds inf or nan
+    @pytest.mark.parametrize("command", ["qv", "sweep"])
+    @pytest.mark.parametrize("sigma", [1e154, 1.3e154])
+    def test_non_finite_estimate_exits_2(self, tmp_path, capsys, command, sigma):
+        cfg = {"grid": self.GRID, "model": {"kind": "brownian", "sigma": sigma},
+               "eps_multiples": [4, 2, 1], "sweep": {"steps_list": [100]}}
+        err = self.check_rejected(tmp_path, command, cfg, capsys)
+        assert f"{command}: non-finite number in the estimate" in err
+
+    def test_non_finite_decomposition_report_exits_2(self, tmp_path, capsys):
+        cfg = {"grid": {"horizon": 2.0, "steps": 100}, "eps_multiples": [4, 2, 1],
+               "model": {"kind": "brownian", "sigma": 1.3e154}}
+        err = self.check_rejected(tmp_path, "decompose", cfg, capsys)
+        assert "decompose: non-finite number in the bracket reports" in err
+
     def test_zero_size_heaviside_fixture_exits_2(self, tmp_path, capsys):
         cfg = {"grid": self.GRID, "source": {"kind": "fixture", "name": "heaviside",
                                              "jump_size": 0.0}}
@@ -627,6 +643,23 @@ class TestReproducibility:
         }))
         assert main(["qv", "--config", str(cfg_file)]) == 0
         assert (tmp_path / "envout" / "qv_summary.json").exists()
+
+
+class TestRunSection:
+    """A CSV command's manifest says where its time went and how many data
+    rows its CSVs hold."""
+
+    @pytest.mark.parametrize("command", ["simulate", "qv", "fwdint", "decompose", "sweep"])
+    def test_run_section_times_the_stages_and_counts_the_csv_rows(self, tmp_path, command):
+        code, out = run(tmp_path, command, TestStrictJson.CONFIGS[command])
+        assert code in (0, 3, 4)
+        section = json.loads((out / "manifest.json").read_text())["run"]
+        assert set(section) == {"seconds", "csv_rows"}
+        assert set(section["seconds"]) == {"compute", "write"}
+        assert all(s >= 0.0 for s in section["seconds"].values())
+        csvs = list(out.glob("*.csv"))
+        assert csvs
+        assert section["csv_rows"] == sum(len(f.read_text().splitlines()) - 1 for f in csvs)
 
 
 class TestStrictJson:

@@ -15,7 +15,7 @@ from dirichlet_reg import (
     path_from_function,
     star_integral,
 )
-from dirichlet_reg.paths import _read_csv, _write_csv
+from dirichlet_reg.paths import _format, _read_csv, _write_csv
 
 
 def heaviside(grid: TimeGrid, jump_time=0.5, size=1.0) -> CadlagPath:
@@ -321,6 +321,30 @@ def float64_tables(draw):
     return bits.view(np.float64).reshape(cols, rows)
 
 
+RUN_ENDS = [4095, 4096, 4097]
+RUN_BITS = np.concatenate([EDGE_BITS, np.array([
+    0x7FF8000000000001, 0xFFF0000000000001, 0x7FF0000000000000, 0x000FFFFFFFFFFFFF,
+    0x8000000000000001], dtype=np.uint64)])
+
+
+@st.composite
+def constant_run_tables(draw):
+    """1-4 columns of 4097 or 8193 rows, each made of runs of one bit pattern
+    (-0.0 beside +0.0, nan payloads, +-inf, subnormals or drawn bits) that
+    end on rows 4095, 4096 or 4097, and which columns to pass as ``_format``
+    text."""
+    rows = draw(st.sampled_from([4097, 8193]))
+    bit_patterns = st.one_of(st.sampled_from(RUN_BITS.tolist()), st.integers(0, 2**64 - 1))
+    table = []
+    for _ in range(draw(st.integers(1, 4))):
+        ends = sorted(draw(st.sets(st.sampled_from(RUN_ENDS)))) + [rows]
+        starts = [0] + ends[:-1]
+        bits = np.concatenate([np.full(b - a, draw(bit_patterns), dtype=np.uint64)
+                               for a, b in zip(starts, ends)])
+        table.append(bits.view(np.float64))
+    return table, draw(st.lists(st.booleans(), min_size=len(table), max_size=len(table)))
+
+
 class TestCsvFormat:
     """_write_csv writes the bytes of the csv-module writer; _read_csv parses
     them to the bits of ``float()`` per cell."""
@@ -333,6 +357,35 @@ class TestCsvFormat:
         reference_write_csv(d / "ref.csv", header, *table)
         _write_csv(d / "got.csv", header, *table)
         assert (d / "got.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(drawn=constant_run_tables())
+    def test_constant_runs_and_text_columns_match_the_csv_module(self, tmp_path_factory,
+                                                                 drawn):
+        table, as_text = drawn
+        d = tmp_path_factory.mktemp("csv")
+        header = [f"c{j}" for j in range(len(table))]
+        reference_write_csv(d / "ref.csv", header, *table)
+        _write_csv(d / "got.csv", header,
+                   *(_format(c) if text else c for c, text in zip(table, as_text)))
+        assert (d / "got.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("end", RUN_ENDS)
+    @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zeros_in_one_block_keep_their_signs(self, tmp_path, end, first, second):
+        column = np.full(8193, first)
+        column[end:] = second
+        reference_write_csv(tmp_path / "ref.csv", ["z"], column)
+        _write_csv(tmp_path / "got.csv", ["z"], column)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(table=float64_tables())
+    def test_format_matches_the_f_string(self, table):
+        for column in (*table, EDGE_BITS.view(np.float64), RUN_BITS.view(np.float64)):
+            got = _format(column)
+            assert got.dtype == object
+            assert got.tolist() == [f"{x:.17g}" for x in column.tolist()]
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(table=float64_tables().filter(lambda t: t.shape[1] > 0))
