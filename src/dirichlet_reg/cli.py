@@ -10,6 +10,10 @@ summary.  Re-running a command from its manifest reproduces all result files
 byte for byte.  Configs hold only experiment settings: a residual ensemble's
 batch size follows from the grid.
 
+A command computes its result files and returns them; ``main`` alone writes.
+It checks every number of every result file and of the verdicts first, so a
+NaN or infinity exits 2 before the output directory is created.
+
 Exit codes: 0 pass, 2 configuration error, 3 estimator non-convergence,
 4 statistical failure.
 """
@@ -17,7 +21,6 @@ Exit codes: 0 pass, 2 configuration error, 3 estimator non-convergence,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import datetime
 import functools
 import hashlib
@@ -298,22 +301,6 @@ def _long_columns(grid: TimeGrid, est: CovariationEstimate):
             np.repeat(est.eps_values, grid.n_nodes), est.trajectories.ravel())
 
 
-def _reject_non_finite(command: str, stage: str, *numbers) -> None:
-    """A NaN or infinity among the numbers ``command`` would write at
-    ``stage`` is a config error: the model or path is too large for float64."""
-    if not all(np.isfinite(x).all() for x in numbers):
-        raise ConfigError(f"{command}: non-finite number in the {stage} "
-                          "(the model or path is too large for float64)")
-
-
-@contextlib.contextmanager
-def _timed(seconds: dict, stage: str):
-    """Adds the wall time of the block to ``seconds[stage]``."""
-    start = time.perf_counter()
-    yield
-    seconds[stage] = seconds.get(stage, 0.0) + time.perf_counter() - start
-
-
 def _hash_file(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -338,64 +325,62 @@ def _write_manifest(outdir: Path, cfg: dict, command: str, verdicts: dict,
 
 
 # ---------------------------------------------------------------------------
-# Commands: each writes its result files and returns
-# (exit code, manifest verdicts, input files to hash, the manifest's run
-# section: what the run did and where its time went, empty when not reported)
+# Commands: each computes what it would write, writes nothing and returns
+# (exit code, manifest verdicts, input files to hash, result files, the
+# manifest's run section: what the run did and where its time went, empty
+# when not reported; ``main`` derives that of a command that writes a CSV).
+# A result file is (stage, name, content): content is a JSON value or a
+# CSV's (header, columns), a column float64 or ``_format`` text; the stage
+# names the file in a non-finite-number error.
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg: dict, outdir: Path):
+def cmd_simulate(cfg: dict):
     grid = _build_grid(cfg)
     model = _build_model(cfg)
     n = cfg["paths"]
+    t = _format(grid.times())
     finals = np.empty(n)
-    seconds = {}
+    files = []
     for i in range(n):
-        with _timed(seconds, "compute"):
-            p = simulate_path(model, grid, SeedSpec(cfg["seed"], i))
-        with _timed(seconds, "write"):
-            p.to_csv(outdir / f"path_{i:05d}.csv")
+        p = simulate_path(model, grid, SeedSpec(cfg["seed"], i))
         finals[i] = p.values[-1]
+        files.append(("path", f"path_{i:05d}.csv",
+                      (["t", "value", "jump"], (t, p.values, p.jumps))))
     verdicts = {
         "n_paths": n,
         "final_value_mean": float(np.mean(finals)),
         "final_value_variance": float(np.var(finals)) if n > 1 else 0.0,
     }
-    return EXIT_OK, verdicts, [], {"seconds": seconds, "csv_rows": n * grid.n_nodes}
+    return EXIT_OK, verdicts, [], files, {}
 
 
-def _estimator_command(cfg: dict, outdir: Path, command: str):
-    seconds = {}
-    with _timed(seconds, "compute"):
-        grid = _build_grid(cfg)
-        X = _source_path(cfg, grid)
-        schedule = _schedule(cfg["eps_multiples"], grid)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if command == "qv":
-                est = covariation_limit(X, X, schedule)
-            else:
-                integrand = cfg["integrand"]
-                if integrand == "constant":
-                    Y = CadlagPath(grid, np.ones(grid.n_nodes))
-                elif integrand == "identity":
-                    Y = X
-                else:
-                    Y = CadlagPath(grid, grid.times())
-                est = forward_integral_limit(Y, X, schedule)
-        _reject_non_finite(command, "estimate", est.trajectories, est.error_estimate)
-        summary = {
-            "limit_sup_error": est.error_estimate,
-            "converged": bool(est.converged),
-            "limit_final": float(est.limit[-1]),
-        }
-    with _timed(seconds, "write"):
-        _write_csv(outdir / f"{command}.csv", ["t", "eps", "value"], *_long_columns(grid, est))
-        _write_json(outdir / f"{command}_summary.json", summary)
+def _estimator_command(cfg: dict, command: str):
+    grid = _build_grid(cfg)
+    X = _source_path(cfg, grid)
+    schedule = _schedule(cfg["eps_multiples"], grid)
+    if command == "qv":
+        est = covariation_limit(X, X, schedule)
+    else:
+        integrand = cfg["integrand"]
+        if integrand == "constant":
+            Y = CadlagPath(grid, np.ones(grid.n_nodes))
+        elif integrand == "identity":
+            Y = X
+        else:
+            Y = CadlagPath(grid, grid.times())
+        est = forward_integral_limit(Y, X, schedule)
+    summary = {
+        "limit_sup_error": est.error_estimate,
+        "converged": bool(est.converged),
+        "limit_final": float(est.limit[-1]),
+    }
+    files = [("estimate", f"{command}.csv", (["t", "eps", "value"], _long_columns(grid, est))),
+             ("estimate", f"{command}_summary.json", summary)]
     input_files = [cfg["source"]["file"]] if cfg["source"]["kind"] == "csv" else []
-    run = {"seconds": seconds, "csv_rows": est.trajectories.size}
-    return (EXIT_OK if est.converged else EXIT_NONCONVERGED), summary, input_files, run
+    return (EXIT_OK if est.converged else EXIT_NONCONVERGED), summary, input_files, files, {}
 
 
-def cmd_residual(cfg: dict, outdir: Path):
+def cmd_residual(cfg: dict):
     grid = _build_grid(cfg)
     model = _build_model(cfg)
     schedule = _schedule(cfg["eps_multiples"], grid)
@@ -414,59 +399,51 @@ def cmd_residual(cfg: dict, outdir: Path):
     except ValueError as exc:
         raise ConfigError(f"cannot run the residual ensemble: {exc}") from exc
     report = martingale_mean_test(ens, alpha_se=cfg["alpha_se"])
-    payload = report.to_dict()
-    payload["quadrature_nodes"] = _QUAD_NODES
-    _write_json(outdir / "residual_report.json", payload)
+    files = [("report", "residual_report.json",
+              {**report.to_dict(), "quadrature_nodes": _QUAD_NODES})]
     verdicts = {"pass": report.passed, "forward_nonconverged": ens.meta["forward_nonconverged"]}
     run = {"paths": ens.n_paths,
            **{key: ens.meta[key] for key in ("jumps", "probe_nodes", "seconds")}}
-    return (EXIT_OK if report.passed else EXIT_STATFAIL), verdicts, [], run
+    return (EXIT_OK if report.passed else EXIT_STATFAIL), verdicts, [], files, run
 
 
-def cmd_decompose(cfg: dict, outdir: Path):
-    seconds = {}
-    with _timed(seconds, "compute"):
-        grid = _build_grid(cfg)
-        model = _build_model(cfg)
-        k = _truncation(cfg)
-        schedule = _schedule(cfg["eps_multiples"], grid)
-        X = simulate_path(model, grid, SeedSpec(cfg["seed"], 0))
-        tol = cfg["tolerance"]
-        reports = {}
-        nonconverged = False
-        with np.errstate(over="ignore", invalid="ignore"):
-            dec = decompose(X, model, k)
-            brackets = _decomposition_brackets(X, dec, schedule)
-            for label, rep in (
-                ("drift_bracket", _drift_bracket_report(X, model, k, brackets)),
-                ("continuous_bracket", _continuous_bracket_report(brackets)),
-            ):
-                reports[label] = {
-                    "lhs_sup": float(np.max(np.abs(rep.lhs))),
-                    "rhs_sup": float(np.max(np.abs(rep.rhs))),
-                    "distance": rep.sup_distance,
-                    "tolerance": tol,
-                    "pass": bool(rep.within(tol)),
-                }
-                nonconverged |= not rep.converged
-        columns = (grid.times(), X.values, dec.continuous.values, dec.compensated_jumps.values,
-                   dec.drift.values, dec.large_jumps.values)
-        _reject_non_finite("decompose", "decomposition", *columns, dec.reconstruction_error)
-        _reject_non_finite("decompose", "bracket reports", *(
-            r[key] for r in reports.values() for key in ("lhs_sup", "rhs_sup", "distance")))
-        ok = all(v["pass"] for v in reports.values())
-        reports["reconstruction_error"] = dec.reconstruction_error
-    with _timed(seconds, "write"):
-        _write_csv(
-            outdir / "decomposition.csv",
-            ["t", "x", "continuous", "compensated_jumps", "drift", "large_jumps"], *columns,
-        )
-        _write_json(outdir / "identity_reports.json", reports)
+def cmd_decompose(cfg: dict):
+    grid = _build_grid(cfg)
+    model = _build_model(cfg)
+    k = _truncation(cfg)
+    schedule = _schedule(cfg["eps_multiples"], grid)
+    X = simulate_path(model, grid, SeedSpec(cfg["seed"], 0))
+    tol = cfg["tolerance"]
+    reports = {}
+    nonconverged = False
+    dec = decompose(X, model, k)
+    brackets = _decomposition_brackets(X, dec, schedule)
+    for label, rep in (
+        ("drift_bracket", _drift_bracket_report(X, model, k, brackets)),
+        ("continuous_bracket", _continuous_bracket_report(brackets)),
+    ):
+        reports[label] = {
+            "lhs_sup": float(np.max(np.abs(rep.lhs))),
+            "rhs_sup": float(np.max(np.abs(rep.rhs))),
+            "distance": rep.sup_distance,
+            "tolerance": tol,
+            "pass": bool(rep.within(tol)),
+        }
+        nonconverged |= not rep.converged
+    ok = all(v["pass"] for v in reports.values())
+    reports["reconstruction_error"] = dec.reconstruction_error
+    columns = (grid.times(), X.values, dec.continuous.values, dec.compensated_jumps.values,
+               dec.drift.values, dec.large_jumps.values)
+    files = [
+        ("decomposition", "decomposition.csv",
+         (["t", "x", "continuous", "compensated_jumps", "drift", "large_jumps"], columns)),
+        ("bracket reports", "identity_reports.json", reports),
+    ]
     code = EXIT_NONCONVERGED if nonconverged else EXIT_OK if ok else EXIT_STATFAIL
-    return code, reports, [], {"seconds": seconds, "csv_rows": grid.n_nodes}
+    return code, reports, [], files, {}
 
 
-def cmd_recover(cfg: dict, outdir: Path):
+def cmd_recover(cfg: dict):
     rc = cfg["recover"]
     try:
         grid = ExponentGrid.from_csv(rc["psi_csv"])
@@ -491,41 +468,32 @@ def cmd_recover(cfg: dict, outdir: Path):
         "residual": rec.residual_sup,
         "unrecovered_cells": [float(x) for x in rec.unrecovered_cells],
     }
-    _write_json(outdir / "recovered_triplet.json", payload)
-    return EXIT_OK, {"residual": rec.residual_sup}, [rc["psi_csv"]], {}
+    files = [("recovered triplet", "recovered_triplet.json", payload)]
+    return EXIT_OK, {"residual": rec.residual_sup}, [rc["psi_csv"]], files, {}
 
 
-def cmd_sweep(cfg: dict, outdir: Path):
+def cmd_sweep(cfg: dict):
     sw = cfg["sweep"]
     eps_multiples = sw["eps_multiples"]
     horizon = float(cfg["grid"]["horizon"])
     grids = [TimeGrid(horizon, int(steps)) for steps in sw["steps_list"]]
     schedules = [_schedule(eps_multiples, grid) for grid in grids]
     model = _build_model(cfg)
-    seconds = {}
-    estimates = []
-    with _timed(seconds, "compute"):
-        for grid, schedule in zip(grids, schedules):
-            X = simulate_path(model, grid, SeedSpec(cfg["seed"], 0))
-            with np.errstate(over="ignore", invalid="ignore"):
-                est = covariation_limit(X, X, schedule)
-            _reject_non_finite("sweep", f"estimate on {grid.n_steps} steps", est.trajectories)
-            estimates.append(est)
-    with _timed(seconds, "write"):
-        blocks = []
-        for grid, est in zip(grids, estimates):
-            t, eps, value = _long_columns(grid, est)
-            blocks.append((np.full(t.size, grid.dt), eps, t, value))
-        dt, eps, t, value = (np.concatenate(c) for c in zip(*blocks))
-        _write_csv(outdir / "sweep.csv", ["dt", "eps", "t", "value"], dt, eps, t, value)
-    return EXIT_OK, {"rows": int(t.size)}, [], {"seconds": seconds, "csv_rows": int(t.size)}
+    blocks = []
+    for grid, schedule in zip(grids, schedules):
+        X = simulate_path(model, grid, SeedSpec(cfg["seed"], 0))
+        t, eps, value = _long_columns(grid, covariation_limit(X, X, schedule))
+        blocks.append((np.full(t.size, grid.dt), eps, t, value))
+    columns = tuple(np.concatenate(c) for c in zip(*blocks))
+    files = [("estimate", "sweep.csv", (["dt", "eps", "t", "value"], columns))]
+    return EXIT_OK, {"rows": int(columns[0].size)}, [], files, {}
 
 
 # command -> (function, config sections it needs beyond ``grid``)
 _COMMANDS = {
     "simulate": (cmd_simulate, ("model",)),
-    "qv": (lambda cfg, out: _estimator_command(cfg, out, "qv"), ()),
-    "fwdint": (lambda cfg, out: _estimator_command(cfg, out, "fwdint"), ()),
+    "qv": (lambda cfg: _estimator_command(cfg, "qv"), ()),
+    "fwdint": (lambda cfg: _estimator_command(cfg, "fwdint"), ()),
     "residual": (cmd_residual, ("model",)),
     "decompose": (cmd_decompose, ("model",)),
     "recover": (cmd_recover, ("recover",)),
@@ -559,12 +527,37 @@ def main(argv: list[str] | None = None) -> int:
         missing = [s for s in sections if s not in cfg]
         if missing:
             raise ConfigError(f"{args.command} needs the config section(s) {', '.join(missing)}")
-        outdir = Path(cfg["out"])
-        outdir.mkdir(parents=True, exist_ok=True)
-        code, verdicts, input_files, run = command(cfg, outdir)
+        clock = time.perf_counter()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, verdicts, input_files, files, run = command(cfg)
+        seconds = {"compute": time.perf_counter() - clock}
+        # every number bound for the disk is checked before the first write;
+        # a CSV's text columns are grid times
+        for stage, _, content in [*files, ("verdicts", "manifest.json", verdicts)]:
+            if isinstance(content, tuple):
+                finite = all(np.isfinite(c).all() for c in content[1] if c.dtype != object)
+            else:
+                finite = _non_finite_key(content) is None
+            if not finite:
+                raise ConfigError(f"{args.command}: non-finite number in the {stage} "
+                                  "(the model or path is too large for float64)")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    outdir = Path(cfg["out"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    clock = time.perf_counter()
+    csv_rows = 0
+    for _, name, content in files:
+        if isinstance(content, tuple):
+            header, columns = content
+            _write_csv(outdir / name, header, *columns)
+            csv_rows += len(columns[0])
+        else:
+            _write_json(outdir / name, content)
+    seconds["write"] = time.perf_counter() - clock
+    if csv_rows:
+        run = {"seconds": seconds, "csv_rows": csv_rows}
     _write_manifest(outdir, cfg, args.command, verdicts, input_files, run)
     return code
 

@@ -48,8 +48,7 @@ from .regularize import (
     _refinement,
 )
 from .simulate import (
-    _QUAD_NODES, BrownianMotion, ModelSpec, SeedSpec, law_expectation, simulate_batch,
-    simulate_path,
+    BrownianMotion, ModelSpec, SeedSpec, law_expectation, simulate_batch, simulate_path,
 )
 
 __all__ = [
@@ -410,10 +409,10 @@ def residual_ensemble(
 
     ``batch_size`` paths are simulated at a time; by default as many as fit
     in ``_BATCH_NODES`` grid nodes, at least one.  It bounds memory and
-    changes no result.  ``meta`` reports, besides the inputs, the count of
-    paths whose forward drift integral did not converge, the node jumps of
-    all paths, the grid times the probes snapped to, and the seconds spent
-    simulating (with the drift characteristic) and assembling residuals.
+    changes no result.  ``meta`` reports the count of paths whose forward
+    drift integral did not converge, the node jumps of all paths, the grid
+    times the probes snapped to, and the seconds spent simulating (with the
+    drift characteristic) and assembling residuals.
     """
     chars = _as_chars(model, k)
     _check_mode(chars, mode)
@@ -456,13 +455,6 @@ def residual_ensemble(
         path_at=path_at,
         n_paths=n_paths,
         meta={
-            "model": repr(model),
-            "truncation": k.name,
-            "function": F.name,
-            "mode": mode,
-            "master_seed": master_seed,
-            "quadrature_nodes": _QUAD_NODES,
-            "grid": {"T": grid.T, "n_steps": grid.n_steps},
             "forward_nonconverged": nonconverged,
             "jumps": jumps,
             "probe_nodes": [{"probe": s, "grid_time": float(grid.times()[i])}

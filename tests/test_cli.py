@@ -6,7 +6,20 @@ import jsonschema
 import numpy as np
 import pytest
 
-from dirichlet_reg import ExponentGrid, Triplet1D, WeightedAtoms, standard_truncation
+from dirichlet_reg import (
+    Composite,
+    CompoundPoisson,
+    ExponentGrid,
+    FractionalBrownianMotion,
+    GaussianJumps,
+    LevyJumpDiffusion,
+    SeedSpec,
+    TimeGrid,
+    Triplet1D,
+    WeightedAtoms,
+    simulate_path,
+    standard_truncation,
+)
 from dirichlet_reg import cli
 from dirichlet_reg.cli import ConfigError, _validate, main
 
@@ -99,7 +112,7 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert code == 2
         assert "config error:" in err
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
         return err
 
     def test_semimartingale_mode_with_fbm_exits_2(self, tmp_path, capsys):
@@ -241,6 +254,34 @@ class TestBadInput:
                "model": {"kind": "brownian", "sigma": 1.3e154}}
         err = self.check_rejected(tmp_path, "decompose", cfg, capsys)
         assert "decompose: non-finite number in the bracket reports" in err
+
+    # finite parameters whose paths, or the verdicts over them, overflow:
+    # every number bound for a result file or the manifest is checked
+    JUMPS_1E308 = {"kind": "compound_poisson", "rate": 5.0, "law": {
+        "kind": "discrete", "values": [1e308, 1e308], "probabilities": [0.5, 0.5]}}
+    OVERFLOWING_PATH = {
+        "simulate_drift": ("simulate", 1.0, {"kind": "levy_jump_diffusion", "drift": 1e308,
+                                             "sigma": 1.0, "rate": 1.0, "law": POINT},
+                           "verdicts"),
+        "simulate_jumps": ("simulate", 1.0, JUMPS_1E308, "path"),
+        "residual_jumps": ("residual", 1.0, JUMPS_1E308, "report"),
+        "simulate_fbm": ("simulate", 1e300, {"kind": "fbm", "hurst": 0.7, "scale": 1e150},
+                         "path"),
+        "simulate_polynomial": ("simulate", 1e300, {"kind": "drift", "coeffs": [0.0, 1e308]},
+                                "path"),
+        "simulate_gaussian_jumps": ("simulate", 1.0, {"kind": "compound_poisson", "rate": 5.0,
+                                                      "law": {"kind": "gaussian", "mean": 0.0,
+                                                              "sd": 1e200}},
+                                    "verdicts"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING_PATH))
+    def test_overflowing_path_exits_2(self, tmp_path, capsys, case):
+        command, horizon, model, stage = self.OVERFLOWING_PATH[case]
+        cfg = {"grid": {"horizon": horizon, "steps": 64}, "paths": 4, "eps_multiples": [1],
+               "model": model}
+        err = self.check_rejected(tmp_path, command, cfg, capsys)
+        assert f"{command}: non-finite number in the {stage} " in err
 
     def test_zero_size_heaviside_fixture_exits_2(self, tmp_path, capsys):
         cfg = {"grid": self.GRID, "source": {"kind": "fixture", "name": "heaviside",
@@ -389,6 +430,29 @@ class TestSimulate:
         (tmp_path / "out").rename(tmp_path / "out_first")
         _, out2 = run(tmp_path, "simulate", cfg, name="c2.json")
         assert read_all_outputs(out2) == blobs1
+
+    # 5000 steps: the rows cross the writer's 4096-row blocks
+    @pytest.mark.parametrize("spec,model,n_paths", [
+        ({"kind": "composite", "components": [
+            {"kind": "fbm", "hurst": 0.7, "scale": 0.5},
+            {"kind": "compound_poisson", "rate": 5.0,
+             "law": {"kind": "gaussian", "mean": 0.0, "sd": 0.5}}]},
+         Composite((FractionalBrownianMotion(0.7, 0.5),
+                    CompoundPoisson(5.0, GaussianJumps(0.0, 0.5)))), 3),
+        ({"kind": "levy_jump_diffusion", "drift": 0.3, "sigma": 1.0, "rate": 5.0,
+          "law": {"kind": "gaussian", "mean": 0.0, "sd": 0.3}},
+         LevyJumpDiffusion(0.3, 1.0, 5.0, GaussianJumps(0.0, 0.3)), 2),
+    ], ids=["composite", "jump_diffusion"])
+    def test_path_files_are_the_library_csvs(self, tmp_path, spec, model, n_paths):
+        cfg = {"grid": {"horizon": 1.0, "steps": 5000}, "model": spec, "paths": n_paths,
+               "seed": 11}
+        code, out = run(tmp_path, "simulate", cfg)
+        assert code == 0
+        blobs = read_all_outputs(out)
+        assert sorted(blobs) == [f"path_{i:05d}.csv" for i in range(n_paths)]
+        for i in range(n_paths):
+            simulate_path(model, TimeGrid(1.0, 5000), SeedSpec(11, i)).to_csv(tmp_path / "p.csv")
+            assert blobs[f"path_{i:05d}.csv"] == (tmp_path / "p.csv").read_bytes()
 
     def test_brownian_ensemble_variance_in_manifest(self, tmp_path):
         cfg = {
