@@ -10,8 +10,6 @@ from .paths import (
     PathBatch,
     TimeGrid,
     combine,
-    constant_path,
-    path_from_function,
     star_integral,
 )
 from .regularize import (
@@ -53,7 +51,6 @@ from .characteristics import (
     convert_truncation,
     decompose,
     drift_bracket_check,
-    drift_jump,
     known_characteristics,
     smooth_clip_truncation,
     standard_truncation,
@@ -64,7 +61,6 @@ from .residuals import (
     ResidualPath,
     TestFunction,
     bump,
-    combine_test_functions,
     damped_sine,
     drift_orthogonality_probe,
     exp_tanh,

@@ -52,7 +52,6 @@ __all__ = [
     "convert_truncation",
     "Decomposition",
     "decompose",
-    "drift_jump",
     "drift_bracket_check",
     "continuous_bracket_check",
 ]
@@ -113,11 +112,6 @@ def smooth_clip_truncation() -> TruncationFunction:
 FixedAtomSchedule = tuple[tuple[float, tuple[tuple[float, float], ...]], ...]
 
 
-def _atom_k_integral(k: TruncationFunction, atoms: tuple[tuple[float, float], ...]) -> float:
-    """Integral of k against one fixed atom entry ((x, weight), ...)."""
-    return sum(w * float(k(np.float64(x))) for x, w in atoms)
-
-
 @dataclass(frozen=True)
 class CharacteristicsModel:
     """Evaluators for the triplet (drift characteristic, C, compensator).
@@ -154,8 +148,11 @@ class CharacteristicsModel:
 
     def atom_k_integrals(self, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
         """(node indices, integral of k d nu({s} x dx)) for the fixed atoms."""
+        k = self.truncation
         idx = [grid.index_of(s) for s, _ in self.fixed_atoms]
-        vals = [float(_atom_k_integral(self.truncation, atoms)) for _, atoms in self.fixed_atoms]
+        # a running sum from 0, so an entry that sums to -0.0 reads 0.0
+        vals = [float(sum(w * float(k(np.float64(x))) for x, w in atoms))
+                for _, atoms in self.fixed_atoms]
         return np.array(idx, dtype=np.int64), np.array(vals)
 
     def _atom_steps(self, grid: TimeGrid) -> np.ndarray:
@@ -321,22 +318,6 @@ def decompose(
         large_jumps=large,
         reconstruction_error=float(recon),
     )
-
-
-def drift_jump(
-    model: ModelSpec | CharacteristicsModel, k: TruncationFunction, t: float
-) -> float:
-    """Jump of the drift characteristic at t: integral of k d nu({t} x dx).
-
-    Zero for quasi-left-continuous models; nonzero only on synthetic
-    fixed-atom schedules.
-    """
-    chars = _as_chars(model, k)
-    total = 0.0
-    for s, atoms in chars.fixed_atoms:
-        if abs(s - t) <= 1e-12 * max(1.0, abs(t)):
-            total += _atom_k_integral(chars.truncation, atoms)
-    return total
 
 
 def _decomposition_brackets(X, decomposition, schedule):

@@ -21,8 +21,6 @@ __all__ = [
     "PathBatch",
     "star_integral",
     "combine",
-    "constant_path",
-    "path_from_function",
 ]
 
 
@@ -278,12 +276,3 @@ def combine(a: float, X: CadlagPath, b: float, Y: CadlagPath) -> CadlagPath:
     jumps = a * X.jumps + b * Y.jumps
     jumps += 0.0  # -0.0 (from -1 * 0.0) is no jump
     return CadlagPath(X.grid, a * X.values + b * Y.values, jumps)
-
-
-def constant_path(grid: TimeGrid, value: float) -> CadlagPath:
-    return CadlagPath(grid, np.full(grid.n_nodes, float(value)))
-
-
-def path_from_function(grid: TimeGrid, f: Callable[[np.ndarray], np.ndarray]) -> CadlagPath:
-    """Continuous path sampled as f(t_i)."""
-    return CadlagPath(grid, np.asarray(f(grid.times()), dtype=np.float64))

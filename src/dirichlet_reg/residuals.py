@@ -56,7 +56,6 @@ __all__ = [
     "exp_tanh",
     "damped_sine",
     "bump",
-    "combine_test_functions",
     "ResidualPath",
     "weak_dirichlet_residual",
     "semimartingale_residual",
@@ -154,32 +153,17 @@ def bump() -> TestFunction:
     return TestFunction(f, ft, fx, fxx, bound=1.0, name="bump")
 
 
-def combine_test_functions(a: float, F: TestFunction, b: float, G: TestFunction) -> TestFunction:
-    return TestFunction(
-        f=lambda t, x: a * F.f(t, x) + b * G.f(t, x),
-        ft=lambda t, x: a * F.ft(t, x) + b * G.ft(t, x),
-        fx=lambda t, x: a * F.fx(t, x) + b * G.fx(t, x),
-        fxx=lambda t, x: a * F.fxx(t, x) + b * G.fxx(t, x),
-        bound=abs(a) * F.bound + abs(b) * G.bound,
-        name=f"{a}*{F.name}+{b}*{G.name}",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Residual construction
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ResidualPath:
-    """Residual trajectory with its additive term breakdown (sums to values)."""
+    """Residual trajectory and the convergence of its forward drift integral."""
 
     grid: TimeGrid
     values: np.ndarray
-    terms: dict[str, np.ndarray]
     forward_converged: bool = True
-
-    def at(self, t: float) -> float:
-        return float(self.values[self.grid.index_of(t)])
 
 
 def _compensator_term(
@@ -241,10 +225,10 @@ def _residual_blocks(
     F: TestFunction,
     mode: str,
     schedule: EpsilonSchedule | None,
-) -> Iterator[tuple[int, np.ndarray, dict[str, np.ndarray], np.ndarray]]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The one residual assembly.  For each block of up to ``_ROW_BLOCK``
     rows it yields the block's first row, its (rows, n+1) residual values and
-    terms, and a (rows,) flag of forward-integral convergence.
+    a (rows,) flag of forward-integral convergence.
 
     ``values``, ``left`` and ``bk`` hold one path per row: right values, left
     limits and the drift characteristic (``CharacteristicsModel.bk_values``; a
@@ -304,14 +288,10 @@ def _residual_blocks(
             for i, s in zip(atom_idx, atom_sizes):
                 term_drift[..., i:] -= (fx_left[..., i] * s)[..., None]
 
-        terms = {
-            "value": term_value,
-            "time": term_time,
-            "second_order": term_second,
-            "drift": term_drift,
-            "compensator": -_compensator_term(chars, times, xl, F, dt, atom_idx, laws),
-        }
-        yield start, sum(terms.values()), terms, converged
+        term_compensator = -_compensator_term(chars, times, xl, F, dt, atom_idx, laws)
+        # summed from 0 in the order of the expansion, which fixes the bits
+        residual = sum((term_value, term_time, term_second, term_drift, term_compensator))
+        yield start, residual, converged
 
 
 def _path_residual(
@@ -323,13 +303,11 @@ def _path_residual(
 ) -> ResidualPath:
     """Per-path residual: the one block of the batch-of-one kernel call."""
     _check_mode(chars, mode)
-    [(_, values, terms, converged)] = _residual_blocks(
+    [(_, values, converged)] = _residual_blocks(
         chars, X.grid, X.values[None], X.left_values()[None],
         chars.bk_values(X)[None], F, mode, schedule,
     )
-    return ResidualPath(
-        X.grid, values[0], {name: t[0] for name, t in terms.items()}, bool(converged[0])
-    )
+    return ResidualPath(X.grid, values[0], bool(converged[0]))
 
 
 def weak_dirichlet_residual(
@@ -409,13 +387,16 @@ def residual_ensemble(
 
     ``batch_size`` paths are simulated at a time; by default as many as fit
     in ``_BATCH_NODES`` grid nodes, at least one.  It bounds memory and
-    changes no result.  ``meta`` reports the count of paths whose forward
-    drift integral did not converge, the node jumps of all paths, the grid
-    times the probes snapped to, and the seconds spent simulating (with the
-    drift characteristic) and assembling residuals.
+    changes no result.  An empty ``times`` and a simulated path with a
+    non-finite value raise ``ValueError``.  ``meta`` reports the count of
+    paths whose forward drift integral did not converge, the node jumps of all
+    paths, the grid times the probes snapped to, and the seconds spent
+    simulating (with the drift characteristic) and assembling residuals.
     """
     chars = _as_chars(model, k)
     _check_mode(chars, mode)
+    if len(times) == 0:
+        raise ValueError("need at least one test time")
     if batch_size is None:
         batch_size = max(1, _BATCH_NODES // grid.n_nodes)
     elif batch_size < 1:
@@ -433,6 +414,10 @@ def residual_ensemble(
         clock = time.perf_counter()
         stop = min(start + batch_size, n_paths)
         batch = simulate_batch(model, grid, master_seed, range(start, stop))
+        finite = np.isfinite(batch.values).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"simulated path {start + int(np.argmin(finite))} holds a "
+                             "non-finite value (the model is too large for float64)")
         paths, left, bk = batch.values, batch.left_values(), chars.bk_values(batch)
         jumps += int(np.count_nonzero(batch.jumps))
         del batch  # the kernel reads no component or jump rows: free them first
@@ -442,7 +427,7 @@ def residual_ensemble(
 
         clock = time.perf_counter()
         blocks = _residual_blocks(chars, grid, paths, left, bk, F, mode, schedule)
-        for first, values, _, converged in blocks:
+        for first, values, converged in blocks:
             nonconverged += int(np.count_nonzero(~converged))
             rows = slice(start + first, start + first + len(values))
             for t, i in m_idx.items():

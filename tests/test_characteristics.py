@@ -25,7 +25,6 @@ from dirichlet_reg import (
     decompose,
     default_schedule,
     drift_bracket_check,
-    drift_jump,
     known_characteristics,
     simulate_path,
     smooth_clip_truncation,
@@ -233,39 +232,49 @@ class TestDecompose:
 
 
 class TestDriftJump:
+    GRID = TimeGrid(1.0, 100)
+
+    def drift_jumps(self, chars):
+        return chars.bk_path(CadlagPath(self.GRID, np.zeros(self.GRID.n_nodes))).jumps
+
     def test_quasi_left_continuous_models_have_none(self):
         model = LevyJumpDiffusion(0.1, 1.0, 3.0, GaussianJumps(0.0, 0.5))
-        assert drift_jump(model, STD, 0.25) == 0.0
+        chars = known_characteristics(model, STD)
+        idx, vals = chars.atom_k_integrals(self.GRID)
+        assert idx.size == vals.size == 0
+        assert not self.drift_jumps(chars).any()
 
     def test_synthetic_atom_inside_radius(self):
         chars = CharacteristicsModel(
             truncation=STD, fixed_atoms=((0.5, ((0.3, 1.0),)),)
         )
-        assert drift_jump(chars, STD, 0.5) == pytest.approx(0.3)
-        assert drift_jump(chars, STD, 0.25) == 0.0
+        idx, vals = chars.atom_k_integrals(self.GRID)
+        assert idx.tolist() == [self.GRID.index_of(0.5)]
+        assert vals.tolist() == pytest.approx([0.3])
+        jumps = self.drift_jumps(chars)
+        assert jumps[self.GRID.index_of(0.5)] == pytest.approx(0.3)
+        assert jumps[self.GRID.index_of(0.25)] == 0.0
 
     def test_synthetic_atom_beyond_cutoff(self):
         chars = CharacteristicsModel(
             truncation=STD, fixed_atoms=((0.5, ((2.0, 1.0),)),)
         )
-        assert drift_jump(chars, STD, 0.5) == 0.0
+        assert chars.atom_k_integrals(self.GRID)[1].tolist() == [0.0]
+        assert not self.drift_jumps(chars).any()
 
     def test_atom_schedule_matches_drift_path_jumps(self):
-        grid = TimeGrid(1.0, 100)
         chars = CharacteristicsModel(
             truncation=STD,
             drift_slope=0.2,
             fixed_atoms=((0.25, ((0.3, 1.0),)), (0.75, ((-0.1, 2.0),))),
         )
-        X = CadlagPath(grid, np.zeros(grid.n_nodes))
-        bk = chars.bk_path(X)
-        for t in (0.25, 0.75):
-            i = grid.index_of(t)
-            assert bk.jumps[i] == pytest.approx(drift_jump(chars, STD, t))
+        idx, vals = chars.atom_k_integrals(self.GRID)
+        jumps = self.drift_jumps(chars)
+        assert jumps[idx].tolist() == pytest.approx(vals.tolist())
+        assert np.count_nonzero(jumps) == 2
 
-    def test_drift_jump_equals_the_atom_k_integral(self):
-        # one per-entry integral serves both; an entry summing to -0.0 reads 0.0
-        grid = TimeGrid(1.0, 100)
+    def test_atom_k_integral_per_entry(self):
+        # an entry summing to -0.0 reads 0.0
         atoms = (
             (0.2, ((0.3, 0.7), (-0.45, 0.25), (1.7, 1.0))),
             (0.4, ((0.1, 1.0 / 3.0), (0.2, 1.0 / 7.0))),
@@ -273,12 +282,11 @@ class TestDriftJump:
             (0.8, ((2.0, 1.0),)),
         )
         chars = CharacteristicsModel(truncation=STD, fixed_atoms=atoms)
-        idx, vals = chars.atom_k_integrals(grid)
-        assert idx.tolist() == [grid.index_of(s) for s, _ in atoms]
-        for (s, _), v in zip(atoms, vals):
-            got = drift_jump(chars, STD, s)
-            assert np.float64(got).tobytes() == v.tobytes()
-        assert not np.signbit(vals[2]) and not np.signbit(drift_jump(chars, STD, 0.6))
+        idx, vals = chars.atom_k_integrals(self.GRID)
+        assert idx.tolist() == [self.GRID.index_of(s) for s, _ in atoms]
+        assert vals.tolist() == pytest.approx(
+            [0.3 * 0.7 - 0.45 * 0.25, 0.1 / 3.0 + 0.2 / 7.0, 0.0, 0.0])
+        assert not np.signbit(vals[2])
 
 
 class TestBracketIdentities:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dirichlet_reg import (
+    CadlagPath,
     Composite,
     CompoundPoisson,
     ExponentGrid,
@@ -189,10 +190,9 @@ class TestBadInput:
     ], ids=["qv-steps", "qv-horizon", "fwdint-constant", "fwdint-time", "fwdint-identity"])
     def test_csv_source_on_another_grid_exits_2(self, tmp_path, capsys, command, integrand,
                                                  csv_grid):
-        from dirichlet_reg import TimeGrid, path_from_function
-
         src = tmp_path / "p.csv"
-        path_from_function(TimeGrid(*csv_grid), np.sin).to_csv(src)
+        other = TimeGrid(*csv_grid)
+        CadlagPath(other, np.sin(other.times())).to_csv(src)
         cfg = {"grid": self.GRID, "source": {"kind": "csv", "file": str(src)},
                "integrand": integrand, "eps_multiples": [1]}
         self.check_rejected(tmp_path, command, cfg, capsys)
@@ -256,32 +256,44 @@ class TestBadInput:
         assert "decompose: non-finite number in the bracket reports" in err
 
     # finite parameters whose paths, or the verdicts over them, overflow:
-    # every number bound for a result file or the manifest is checked
+    # every number bound for a result file or the manifest is checked, and
+    # residual checks its simulated paths before it assembles residuals
     JUMPS_1E308 = {"kind": "compound_poisson", "rate": 5.0, "law": {
         "kind": "discrete", "values": [1e308, 1e308], "probabilities": [0.5, 0.5]}}
+    DRIFT_1E308 = {"kind": "levy_jump_diffusion", "drift": 1e308, "sigma": 1.0, "rate": 1.0,
+                   "law": POINT}
+    SIMULATE = "simulate: non-finite number in the {} "
+    RESIDUAL = "residual ensemble: simulated path {} holds a non-finite value "
     OVERFLOWING_PATH = {
-        "simulate_drift": ("simulate", 1.0, {"kind": "levy_jump_diffusion", "drift": 1e308,
-                                             "sigma": 1.0, "rate": 1.0, "law": POINT},
-                           "verdicts"),
-        "simulate_jumps": ("simulate", 1.0, JUMPS_1E308, "path"),
-        "residual_jumps": ("residual", 1.0, JUMPS_1E308, "report"),
+        "simulate_drift": ("simulate", 1.0, DRIFT_1E308, SIMULATE.format("verdicts")),
+        "simulate_jumps": ("simulate", 1.0, JUMPS_1E308, SIMULATE.format("path")),
+        # path 0 jumps at most once and stays finite; past t = 1.797 the
+        # drift overflows on every path
+        "residual_jumps": ("residual", 1.0, JUMPS_1E308, RESIDUAL.format(1)),
+        "residual_drift": ("residual", 2.0, DRIFT_1E308, RESIDUAL.format(0)),
         "simulate_fbm": ("simulate", 1e300, {"kind": "fbm", "hurst": 0.7, "scale": 1e150},
-                         "path"),
+                         SIMULATE.format("path")),
         "simulate_polynomial": ("simulate", 1e300, {"kind": "drift", "coeffs": [0.0, 1e308]},
-                                "path"),
+                                SIMULATE.format("path")),
+        "residual_polynomial": ("residual", 1e300, {"kind": "drift", "coeffs": [0.0, 1e308]},
+                                RESIDUAL.format(0)),
         "simulate_gaussian_jumps": ("simulate", 1.0, {"kind": "compound_poisson", "rate": 5.0,
                                                       "law": {"kind": "gaussian", "mean": 0.0,
                                                               "sd": 1e200}},
-                                    "verdicts"),
+                                    SIMULATE.format("verdicts")),
     }
 
     @pytest.mark.parametrize("case", sorted(OVERFLOWING_PATH))
     def test_overflowing_path_exits_2(self, tmp_path, capsys, case):
-        command, horizon, model, stage = self.OVERFLOWING_PATH[case]
+        command, horizon, model, message = self.OVERFLOWING_PATH[case]
         cfg = {"grid": {"horizon": horizon, "steps": 64}, "paths": 4, "eps_multiples": [1],
                "model": model}
-        err = self.check_rejected(tmp_path, command, cfg, capsys)
-        assert f"{command}: non-finite number in the {stage} " in err
+        assert message in self.check_rejected(tmp_path, command, cfg, capsys)
+
+    def test_empty_residual_times_exit_2(self, tmp_path, capsys):
+        # no test time would be a vacuous pass
+        cfg = {"grid": self.GRID, "paths": 10, "model": self.BM, "times": []}
+        assert "violates schema" in self.check_rejected(tmp_path, "residual", cfg, capsys)
 
     def test_zero_size_heaviside_fixture_exits_2(self, tmp_path, capsys):
         cfg = {"grid": self.GRID, "source": {"kind": "fixture", "name": "heaviside",
@@ -305,10 +317,9 @@ class TestBadInput:
     @pytest.mark.parametrize("command", ["qv", "fwdint"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_csv_value_exits_2(self, tmp_path, capsys, command, cell):
-        from dirichlet_reg import TimeGrid, path_from_function
-
         src = tmp_path / "p.csv"
-        path_from_function(TimeGrid(1.0, 64), np.sin).to_csv(src)
+        grid = TimeGrid(1.0, 64)
+        CadlagPath(grid, np.sin(grid.times())).to_csv(src)
         rows = src.read_text().splitlines()
         rows[20] = f"{rows[20].split(',')[0]},{cell},0"
         src.write_text("\n".join(rows) + "\n")

@@ -11,8 +11,6 @@ from dirichlet_reg import (
     GridMismatchError,
     TimeGrid,
     combine,
-    constant_path,
-    path_from_function,
     star_integral,
 )
 from dirichlet_reg.paths import _format, _read_csv, _write_csv
@@ -37,7 +35,7 @@ class TestEval:
         assert heaviside(grid).eval(0.5, "right") == 1.0
 
     def test_constant_path_left(self, grid):
-        assert constant_path(grid, 3.0).eval(0.7, "left") == 3.0
+        assert CadlagPath(grid, np.full(grid.n_nodes, 3.0)).eval(0.7, "left") == 3.0
 
     def test_both_sides_agree_at_zero(self, grid):
         p = heaviside(grid)
@@ -92,7 +90,7 @@ class TestJumpRegistry:
         assert p.jump_sizes[0] == 1.0
 
     def test_jump_atoms_continuous_path_empty(self, grid):
-        p = path_from_function(grid, np.sin)
+        p = CadlagPath(grid, np.sin(grid.times()))
         assert p.jump_indices.size == p.jump_sizes.size == 0
 
     def test_jump_atoms_match_value_increments(self):
@@ -151,7 +149,7 @@ class TestStarIntegral:
     def test_left_values_read_off_the_path(self, grid):
         p = heaviside(grid, size=2.0)
         assert star_integral(lambda s, x, xl: xl + x, p, 1.0) == 2.0  # left value 0, jump 2
-        lifted = combine(1.0, p, 1.0, constant_path(grid, 1.0))
+        lifted = combine(1.0, p, 1.0, CadlagPath(grid, np.full(grid.n_nodes, 1.0)))
         assert star_integral(lambda s, x, xl: xl, lifted, 1.0) == 1.0
 
     def test_constant_integrand_counts_atoms(self, grid):
@@ -201,14 +199,15 @@ class TestCombine:
         assert list(d.jump_sizes) == [2.0]
 
     def test_scaling_linear_path(self, grid):
-        lin = path_from_function(grid, lambda t: t)
-        p = combine(2.0, lin, 0.0, constant_path(grid, 7.0))
+        lin = CadlagPath(grid, grid.times())
+        p = combine(2.0, lin, 0.0, CadlagPath(grid, np.full(grid.n_nodes, 7.0)))
         assert np.allclose(p.values, 2.0 * grid.times())
 
     def test_grid_mismatch_raises(self, grid):
         other = TimeGrid(1.0, 50)
         with pytest.raises(GridMismatchError):
-            combine(1.0, constant_path(grid, 1.0), 1.0, constant_path(other, 1.0))
+            combine(1.0, CadlagPath(grid, np.ones(grid.n_nodes)), 1.0,
+                    CadlagPath(other, np.ones(other.n_nodes)))
 
     def test_registry_combines_linearly(self, grid):
         a = CadlagPath.from_jumps(grid, np.zeros(grid.n_nodes), {10: 1.0, 20: 2.0})
@@ -225,7 +224,7 @@ class TestNoNegativeZeroJumps:
     """A jump of -0.0 is no jump: left limits keep the sign of every value."""
 
     def test_combine_of_negated_paths(self, grid):
-        z = combine(-1.0, heaviside(grid), -1.0, path_from_function(grid, np.sin))
+        z = combine(-1.0, heaviside(grid), -1.0, CadlagPath(grid, np.sin(grid.times())))
         assert not has_negative_zero(z)
         assert list(z.jump_indices) == [grid.index_of(0.5)]
 

@@ -16,13 +16,11 @@ from dirichlet_reg import (
     SeedSpec,
     TimeGrid,
     combine,
-    constant_path,
     covariation_eps,
     covariation_limit,
     default_schedule,
     forward_integral_eps,
     forward_integral_limit,
-    path_from_function,
     pure_jump_covariation_check,
     qv_decompose,
     simulate_path,
@@ -66,7 +64,7 @@ class TestSchedule:
             EpsilonSchedule((0,))
 
     def test_eps_must_be_grid_multiple(self, grid):
-        X = constant_path(grid, 1.0)
+        X = CadlagPath(grid, np.full(grid.n_nodes, 1.0))
         with pytest.raises(ValueError):
             covariation_eps(X, X, 1.5 * grid.dt)
 
@@ -79,7 +77,7 @@ class TestCovariationEps:
         assert traj[-1] == 1.0
 
     def test_constant_is_zero(self, grid):
-        c = constant_path(grid, 4.2)
+        c = CadlagPath(grid, np.full(grid.n_nodes, 4.2))
         assert np.all(covariation_eps(c, c, 8 * grid.dt) == 0.0)
 
     def test_symmetry_bitwise(self, grid):
@@ -179,7 +177,7 @@ class TestForwardIntegral:
     def test_constant_integrand_telescopes(self):
         grid = TimeGrid(1.0, 1000)
         h = heaviside(grid, 0.5, 2.0)
-        one = constant_path(grid, 1.0)
+        one = CadlagPath(grid, np.full(grid.n_nodes, 1.0))
         est = forward_integral_limit(one, h, default_schedule(grid))
         assert np.max(np.abs(est.limit - (h.values - h.values[0]))) <= max(
             est.error_estimate, 1e-12
@@ -187,7 +185,7 @@ class TestForwardIntegral:
 
     def test_time_against_time_is_half(self):
         grid = TimeGrid(1.0, 1000)
-        lin = path_from_function(grid, lambda t: t)
+        lin = CadlagPath(grid, grid.times())
         est = forward_integral_limit(lin, lin, default_schedule(grid))
         assert abs(est.limit[-1] - 0.5) < 2 * grid.dt
 
@@ -243,7 +241,7 @@ class TestPureJumpCheck:
     def test_step_vs_continuous_both_sides_zero(self):
         grid = TimeGrid(1.0, 1000)
         Y = step_path(grid, {500: 1.0})
-        Z = path_from_function(grid, lambda t: np.sin(2 * np.pi * t))
+        Z = CadlagPath(grid, np.sin(2 * np.pi * grid.times()))
         rep = pure_jump_covariation_check(Y, Z, EpsilonSchedule((8, 4, 2, 1)))
         assert rep.precondition_ok
         assert rep.sup_distance <= max(2 * rep.error_estimate, 1e-6)

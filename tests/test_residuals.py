@@ -22,7 +22,6 @@ from dirichlet_reg import (
     TimeGrid,
     UniformJumps,
     bump,
-    combine_test_functions,
     convert_truncation,
     covariation_limit,
     damped_sine,
@@ -104,15 +103,12 @@ class TestResidualConstruction:
         r = semimartingale_residual(X, model, STD, damped_sine())
         assert np.max(np.abs(r.values)) <= 5 * grid.dt * 3.0
 
-    def test_starts_at_zero_with_exact_term_breakdown(self):
+    def test_starts_at_zero(self):
         grid = TimeGrid(1.0, 500)
         model = LevyJumpDiffusion(0.2, 1.0, 2.0, GaussianJumps(0.0, 0.3))
         X = simulate_path(model, grid, SeedSpec(2, 0))
         r = weak_dirichlet_residual(X, model, STD, exp_tanh())
         assert r.values[0] == 0.0
-        total = sum(r.terms.values())
-        assert np.max(np.abs(total - r.values)) <= 1e-12
-        assert set(r.terms) == {"value", "time", "second_order", "drift", "compensator"}
 
     def test_brownian_forms_agree_exactly(self):
         # drift characteristic vanishes: both formulations build the same sums
@@ -152,7 +148,14 @@ class TestResidualConstruction:
         a, b = 0.6, -1.2
         rF = weak_dirichlet_residual(X, model, STD, F)
         rG = weak_dirichlet_residual(X, model, STD, G)
-        rC = weak_dirichlet_residual(X, model, STD, combine_test_functions(a, F, b, G))
+        C = residuals.TestFunction(
+            f=lambda t, x: a * F.f(t, x) + b * G.f(t, x),
+            ft=lambda t, x: a * F.ft(t, x) + b * G.ft(t, x),
+            fx=lambda t, x: a * F.fx(t, x) + b * G.fx(t, x),
+            fxx=lambda t, x: a * F.fxx(t, x) + b * G.fxx(t, x),
+            bound=abs(a) * F.bound + abs(b) * G.bound, name="combined",
+        )
+        rC = weak_dirichlet_residual(X, model, STD, C)
         assert np.max(np.abs(rC.values - (a * rF.values + b * rG.values))) <= 1e-12
 
     def test_compound_poisson_residual_structure(self):
@@ -374,7 +377,7 @@ class TestEnsembleRunner:
             X = simulate_path(model, grid, SeedSpec(11, i))
             r = residual(X, model, STD, exp_tanh())
             for t in ens.residual_at:
-                assert ens.residual_at[t][i] == r.at(t)
+                assert ens.residual_at[t][i] == r.values[grid.index_of(t)]
             for s in ens.path_at:
                 assert ens.path_at[s][i] == X.eval(s)
 
@@ -391,6 +394,17 @@ class TestEnsembleRunner:
         with pytest.raises(ValueError, match=match):
             residual_ensemble(FAMILIES[family], TimeGrid(1.0, 64), STD, exp_tanh(), 0, 10,
                               mode=mode)
+
+    def test_empty_times_are_rejected(self):
+        with pytest.raises(ValueError, match="at least one test time"):
+            residual_ensemble(BrownianMotion(1.0), TimeGrid(1.0, 64), STD, exp_tanh(), 0, 10,
+                              times=())
+
+    def test_overflowing_path_is_rejected(self):
+        # a drift of 1e308 overflows past t = 1.797 on every path
+        model = LevyJumpDiffusion(1e308, 1.0, 1.0, DiscreteAtoms((1.0,), (1.0,)))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="simulated path 0 "):
+            residual_ensemble(model, TimeGrid(2.0, 64), STD, exp_tanh(), 0, 4, times=(1.0,))
 
     @pytest.mark.parametrize("batch_size", [0, -3])
     def test_batch_size_must_be_positive(self, batch_size):
