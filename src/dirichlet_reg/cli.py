@@ -115,28 +115,35 @@ def _validator():
     return jsonschema.validators.validator_for(schema)(schema)
 
 
-def _non_finite_key(obj, key: str = "") -> str | None:
-    """The key of the first NaN or infinity in a JSON value, if it holds one."""
+def _key_of(path) -> str:
+    """A location in a JSON value, as ``model.components[0].sigma``."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+def _non_finite_path(obj, path: tuple = ()) -> tuple | None:
+    """The location of the first NaN or infinity in a JSON value, if it holds one."""
     if isinstance(obj, float):
-        return None if math.isfinite(obj) else key
+        return None if math.isfinite(obj) else path
     if isinstance(obj, dict):
-        items = ((f"{key}.{k}" if key else k, v) for k, v in obj.items())
+        items = obj.items()
     elif isinstance(obj, list):
-        items = ((f"{key}[{i}]", v) for i, v in enumerate(obj))
+        items = enumerate(obj)
     else:
         return None
-    return next(filter(None, (_non_finite_key(v, k) for k, v in items)), None)
+    return next(filter(None, (_non_finite_path(v, (*path, k)) for k, v in items)), None)
 
 
 def _validate(cfg: dict, what: str) -> None:
-    """Raises what ``jsonschema.validate`` would, as a config error; then
-    rejects NaN and infinities, which the schema's bounds let through."""
+    """Raises what ``jsonschema.validate`` would, as a config error naming the
+    key it concerns unless that is the whole config; then rejects NaN and
+    infinities, which the schema's bounds let through."""
     error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
     if error is not None:
-        raise ConfigError(f"{what} violates schema: {error.message}")
-    key = _non_finite_key(cfg)
-    if key is not None:
-        raise ConfigError(f"{what} has a non-finite number at {key}")
+        where = f" at {_key_of(error.absolute_path)}" if error.absolute_path else ""
+        raise ConfigError(f"{what} violates schema{where}: {error.message}")
+    path = _non_finite_path(cfg)
+    if path is not None:
+        raise ConfigError(f"{what} has a non-finite number at {_key_of(path)}")
 
 
 def load_config(path: str) -> dict:
@@ -318,17 +325,16 @@ def _write_manifest(outdir: Path, cfg: dict, command: str, verdicts: dict,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "input_hashes": {f: _hash_file(f) for f in input_files if os.path.exists(f)},
         "verdicts": verdicts,
+        "run": run,
     }
-    if run:
-        manifest["run"] = run
     _write_json(outdir / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
 # Commands: each computes what it would write, writes nothing and returns
 # (exit code, manifest verdicts, input files to hash, result files, the
-# manifest's run section: what the run did and where its time went, empty
-# when not reported; ``main`` derives that of a command that writes a CSV).
+# manifest's run section: what the run did and where its time went, to which
+# ``main`` adds the compute and write seconds and any CSV data row count).
 # A result file is (stage, name, content): content is a JSON value or a
 # CSV's (header, columns), a column float64 or ``_format`` text; the stage
 # names the file in a non-finite-number error.
@@ -537,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(content, tuple):
                 finite = all(np.isfinite(c).all() for c in content[1] if c.dtype != object)
             else:
-                finite = _non_finite_key(content) is None
+                finite = _non_finite_path(content) is None
             if not finite:
                 raise ConfigError(f"{args.command}: non-finite number in the {stage} "
                                   "(the model or path is too large for float64)")
@@ -556,8 +562,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             _write_json(outdir / name, content)
     seconds["write"] = time.perf_counter() - clock
+    run = {**run, "seconds": {**run.get("seconds", {}), **seconds}}
     if csv_rows:
-        run = {"seconds": seconds, "csv_rows": csv_rows}
+        run["csv_rows"] = csv_rows
     _write_manifest(outdir, cfg, args.command, verdicts, input_files, run)
     return code
 

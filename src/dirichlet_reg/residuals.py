@@ -1,12 +1,14 @@
 """Martingale-problem residuals and their Monte Carlo hypothesis tests.
 
 For a bounded C^{1,2} test function F and a path X with characteristics
-(drift, C, compensator), the residual subtracts from F(t, X_t) the time
-derivative, the second-order term driven by dC + d[drift, drift]^c, the
-drift-integral term, and the compensated-jump correction.  When the model is
-correct the residual is a local martingale; at desk scale this is tested as
-(a) zero mean at fixed times and (b) increment orthogonality against
-bounded functionals of the earlier path, both at a configurable SE level.
+(drift, C, compensator), the residual subtracts from F(t, X_t) - F(0, X_0) one
+ds-integral of the time derivative, the compensated-jump rate, the
+second-order term driven by dC + d[drift, drift]^c and a finite-variation
+drift term, then a path-dependent drift's forward integral and each fixed
+atom's expected jump of F.  When the model is correct the residual is a local
+martingale; at desk scale this is tested as (a) zero mean at fixed times and
+(b) increment orthogonality against bounded functionals of the earlier path,
+both at a configurable SE level.
 
 All ds-integrals use the left-endpoint Riemann rule; the inner jump-law
 expectation uses each law's fixed quadrature (exact for discrete atoms,
@@ -166,46 +168,22 @@ class ResidualPath:
     forward_converged: bool = True
 
 
-def _compensator_term(
-    chars: CharacteristicsModel,
-    times: np.ndarray,
-    left: np.ndarray,
-    F: TestFunction,
-    dt: float,
-    atom_idx: np.ndarray,
-    laws: list[tuple[float, np.ndarray, np.ndarray, float]],
-) -> np.ndarray:
-    """Cumulative compensated-jump correction over (B, n+1) rows.
-
-    Continuous part: left Riemann sum of
-        rate * E[F(s, X_{s-} + J) - F(s, X_{s-}) - k(J) dF/dx(s, X_{s-})]
+def _compensator_term(times: np.ndarray, left: np.ndarray, F: TestFunction,
+                      laws: list[tuple[float, np.ndarray, np.ndarray, float]]) -> np.ndarray:
+    """Compensated-jump rate at every node of (B, n+1) rows of left limits:
+        sum of rate * E[F(s, X_{s-} + J) - F(s, X_{s-}) - k(J) dF/dx(s, X_{s-})]
     over ``laws``, the (rate, quadrature nodes, weights, E[k(J)]) of each
-    compensator entry with a nonzero rate, plus fixed-atom contributions at
-    their nodes ``atom_idx``.
+    compensator entry with a nonzero rate.
     """
-    k = chars.truncation
     integrand = np.zeros_like(left)
-    if laws:
-        base_f = F.f(times, left)
-        base_fx = F.fx(times, left)
+    base_f = F.f(times, left)
+    base_fx = F.fx(times, left)
     for rate, xq, wq, kbar in laws:
         acc = np.zeros_like(left)
         for x_i, w_i in zip(xq, wq):
             acc += w_i * F.f(times, left + x_i)
         integrand += rate * (acc - base_f - kbar * base_fx)
-    out = _cumsum0(integrand[..., :-1] * dt)
-    for i, (_, atoms) in zip(atom_idx, chars.fixed_atoms):
-        ts = times[0, i]
-        # scalar evaluation row by row: numpy's vector and scalar loops for
-        # transcendentals may differ in the last bit, and a residual row must
-        # not depend on the batch it is computed in
-        for row, xl in zip(out, left[:, i]):
-            f0, fx0 = F.f(ts, xl), F.fx(ts, xl)
-            row[i:] += sum(
-                w_a * (F.f(ts, xl + x_a) - f0 - float(k(np.float64(x_a))) * fx0)
-                for x_a, w_a in atoms
-            )
-    return out
+    return integrand
 
 
 def _check_mode(chars: CharacteristicsModel, mode: str) -> None:
@@ -241,9 +219,14 @@ def _residual_blocks(
     second-order term at the same eps, so the two discretization biases
     cancel.  Its flag applies the ``CovariationEstimate.converged`` rule to the
     three finest forward trajectories; a finite-variation drift converges.
-    Fixed atoms of the compensator sit at ``atom_k_integrals`` nodes: their
-    k-jumps leave the continuous drift and enter the drift term with a
-    left-limit integrand, and their jump correction enters the compensator.
+
+    The residual is F(t, X_t) - F(0, X_0) less one left Riemann sum of
+    (dF/dt + compensated-jump rate) ds + 1/2 d2F/dx2 d(C + [drift, drift]^c),
+    plus dF/dx d(drift) for a finite-variation drift, and less the forward
+    integral for a path-dependent one.  A fixed atom at node i subtracts F's
+    expected jump there, sum of w_a (F(s, X_{s-} + x_a) - F(s, X_{s-})), from
+    i on; the drift integral skips the atom's k-jump, which its -k dF/dx
+    compensator term cancels.
 
     Blocks keep the (rows, n+1) temporaries, above all those of the
     compensator's quadrature loop, in cache.  No operation mixes rows, so a
@@ -253,8 +236,8 @@ def _residual_blocks(
     # loops faster than when it broadcasts a 1-D array
     times = grid.times()[None]
     dt = grid.dt
-    atom_idx, atom_sizes = chars.atom_k_integrals(grid)
-    atom_steps = np.cumsum(chars._atom_steps(grid)) if atom_idx.size else None
+    atoms = [(grid.index_of(s), sizes) for s, sizes in chars.fixed_atoms]
+    atom_steps = np.cumsum(chars._atom_steps(grid)) if atoms else None
     c_inc = np.diff(chars.c_values(grid))
     laws = [(rate, *law.quadrature(), law_expectation(law, chars.truncation.fn))
             for rate, law in chars.compensators if rate != 0.0]
@@ -269,28 +252,32 @@ def _residual_blocks(
         if atom_steps is not None:
             b = b - atom_steps
 
-        fv = F.f(times, x)
-        term_value = fv - fv[..., :1]
-        term_time = -_cumsum0(F.ft(times, x)[..., :-1] * dt)
-
         inc = c_inc
         integrand = F.fx(times, x if mode == "weak_dirichlet" else xl)
         converged = np.ones(x.shape[0], dtype=bool)
+        fwd = None
         if chars.drift_path_fn is not None:
             _, converged, fwd = _refinement(_fwd_eps(integrand, b, m) for m in finest)
             inc = inc + np.diff(_qv_eps(b, finest[-1]))
-            term_drift = np.negative(fwd, out=fwd)
-        else:
-            term_drift = -_cumsum0(integrand[..., :-1] * np.diff(b))
-        term_second = -0.5 * _cumsum0(F.fxx(times, x)[..., :-1] * inc)
-        if atom_idx.size:
-            fx_left = F.fx(times, xl)
-            for i, s in zip(atom_idx, atom_sizes):
-                term_drift[..., i:] -= (fx_left[..., i] * s)[..., None]
+        rate = F.ft(times, x)
+        if laws:
+            rate = rate + _compensator_term(times, xl, F, laws)
+        ds = rate[..., :-1] * dt + 0.5 * F.fxx(times, x)[..., :-1] * inc
+        if fwd is None:
+            ds += integrand[..., :-1] * np.diff(b)
 
-        term_compensator = -_compensator_term(chars, times, xl, F, dt, atom_idx, laws)
-        # summed from 0 in the order of the expansion, which fixes the bits
-        residual = sum((term_value, term_time, term_second, term_drift, term_compensator))
+        fv = F.f(times, x)
+        residual = fv - fv[..., :1] - _cumsum0(ds)
+        if fwd is not None:
+            residual -= fwd
+        for i, sizes in atoms:
+            ts = times[0, i]
+            # scalar evaluation row by row: numpy's vector and scalar loops for
+            # transcendentals may differ in the last bit, and a residual row must
+            # not depend on the batch it is computed in
+            for row, xl_i in zip(residual, xl[:, i]):
+                f0 = F.f(ts, xl_i)
+                row[i:] -= sum(w_a * (F.f(ts, xl_i + x_a) - f0) for x_a, w_a in sizes)
         yield start, residual, converged
 
 

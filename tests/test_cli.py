@@ -63,16 +63,22 @@ class TestConfigHandling:
         {"seed": 0},
         {"grid": {"horizon": 1.0, "steps": 10}, "model": {"kind": "brownian", "sigma": "x"}},
         {"grid": {"horizon": 1.0, "steps": 10}, "eps_multiples": []},
+        {"grid": {"horizon": 1.0, "steps": 10}, "times": [0.5, -1.0]},
         [],
-    ], ids=["horizon", "unknown_key", "no_grid", "model", "eps", "not_an_object"])
+    ], ids=["horizon", "unknown_key", "no_grid", "model", "eps", "times_entry",
+            "not_an_object"])
     @pytest.mark.parametrize("stage", ["config", "resolved config"])
     def test_messages_are_those_of_jsonschema_validate(self, cfg, stage):
+        # prefixed with the key the error concerns, unless that is the whole config
         schema_file = resources.files("dirichlet_reg").joinpath("config_schema.json")
         with pytest.raises(jsonschema.ValidationError) as want:
             jsonschema.validate(cfg, json.loads(schema_file.read_text()))
         with pytest.raises(ConfigError) as got:
             _validate(cfg, stage)
-        assert str(got.value) == f"{stage} violates schema: {want.value.message}"
+        key = ".".join(f"{p}" if isinstance(p, str) else f"[{p}]"
+                       for p in want.value.absolute_path).replace(".[", "[")
+        where = f" at {key}" if key else ""
+        assert str(got.value) == f"{stage} violates schema{where}: {want.value.message}"
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["qv", "--config", str(tmp_path / "nope.json")]) == 2
@@ -294,6 +300,16 @@ class TestBadInput:
         # no test time would be a vacuous pass
         cfg = {"grid": self.GRID, "paths": 10, "model": self.BM, "times": []}
         assert "violates schema" in self.check_rejected(tmp_path, "residual", cfg, capsys)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("paths", 0, "0 is less than the minimum of 1"),
+        ("times", [], "[] should be non-empty"),
+        ("alpha_se", -1, "-1 is less than or equal to the minimum of 0"),
+    ])
+    def test_schema_error_names_its_key(self, tmp_path, capsys, key, value, message):
+        cfg = {"grid": self.GRID, "paths": 10, "model": self.BM, key: value}
+        err = self.check_rejected(tmp_path, "residual", cfg, capsys)
+        assert f"config violates schema at {key}: {message}" in err
 
     def test_zero_size_heaviside_fixture_exits_2(self, tmp_path, capsys):
         cfg = {"grid": self.GRID, "source": {"kind": "fixture", "name": "heaviside",
@@ -648,8 +664,8 @@ class TestReproducibility:
         # default times (0.25, 0.5, 1.0) at dt = 1/128: probes snap exactly
         assert section["probe_nodes"] == [{"probe": s, "grid_time": s}
                                           for s in (0.0625, 0.125, 0.25, 0.5)]
-        assert section["seconds"] == meta["seconds"]
-        assert set(section["seconds"]) == {"simulate", "residual"}
+        assert section["seconds"].items() >= meta["seconds"].items()
+        assert set(section["seconds"]) == {"simulate", "residual", "compute", "write"}
 
     # a config per command that leaves every default of a section out
     BARE = {
@@ -721,20 +737,34 @@ class TestReproducibility:
 
 
 class TestRunSection:
-    """A CSV command's manifest says where its time went and how many data
-    rows its CSVs hold."""
+    """Every manifest says where the run's time went: the compute and write
+    seconds beside any stage seconds of the command, and the data rows of
+    the CSVs it wrote."""
 
-    @pytest.mark.parametrize("command", ["simulate", "qv", "fwdint", "decompose", "sweep"])
+    # the keys of the run section and of its seconds beyond compute and write
+    KEYS = {
+        "simulate": ({"csv_rows"}, set()),
+        "qv": ({"csv_rows"}, set()),
+        "fwdint": ({"csv_rows"}, set()),
+        "decompose": ({"csv_rows"}, set()),
+        "sweep": ({"csv_rows"}, set()),
+        "residual": ({"paths", "jumps", "probe_nodes"}, {"simulate", "residual"}),
+        "recover": (set(), set()),
+    }
+
+    @pytest.mark.parametrize("command", sorted(KEYS))
     def test_run_section_times_the_stages_and_counts_the_csv_rows(self, tmp_path, command):
-        code, out = run(tmp_path, command, TestStrictJson.CONFIGS[command])
+        code, out = run(tmp_path, command, TestStrictJson.config(tmp_path, command))
         assert code in (0, 3, 4)
         section = json.loads((out / "manifest.json").read_text())["run"]
-        assert set(section) == {"seconds", "csv_rows"}
-        assert set(section["seconds"]) == {"compute", "write"}
+        keys, stages = self.KEYS[command]
+        assert set(section) == {"seconds"} | keys
+        assert set(section["seconds"]) == {"compute", "write"} | stages
         assert all(s >= 0.0 for s in section["seconds"].values())
         csvs = list(out.glob("*.csv"))
-        assert csvs
-        assert section["csv_rows"] == sum(len(f.read_text().splitlines()) - 1 for f in csvs)
+        assert bool(csvs) == ("csv_rows" in keys)
+        if csvs:
+            assert section["csv_rows"] == sum(len(f.read_text().splitlines()) - 1 for f in csvs)
 
 
 class TestStrictJson:
@@ -752,17 +782,19 @@ class TestStrictJson:
                   "sweep": {"steps_list": [64, 128]}},
     }
 
+    @classmethod
+    def config(cls, tmp_path, command):
+        if command != "recover":
+            return cls.CONFIGS[command]
+        lam = WeightedAtoms(np.array([0.5]), np.array([1.0]))
+        psi_csv = tmp_path / "psi.csv"
+        ExponentGrid.from_triplet(Triplet1D(0.1, 0.5, lam, standard_truncation()),
+                                  u_max=40.0, m=1024).to_csv(psi_csv)
+        return {"grid": {"horizon": 1.0, "steps": 10}, "recover": {"psi_csv": str(psi_csv)}}
+
     @pytest.mark.parametrize("command", sorted(CONFIGS) + ["recover"])
     def test_every_json_file_parses_strictly(self, tmp_path, command):
-        if command == "recover":
-            lam = WeightedAtoms(np.array([0.5]), np.array([1.0]))
-            psi_csv = tmp_path / "psi.csv"
-            ExponentGrid.from_triplet(Triplet1D(0.1, 0.5, lam, standard_truncation()),
-                                      u_max=40.0, m=1024).to_csv(psi_csv)
-            cfg = {"grid": {"horizon": 1.0, "steps": 10}, "recover": {"psi_csv": str(psi_csv)}}
-        else:
-            cfg = self.CONFIGS[command]
-        code, out = run(tmp_path, command, cfg)
+        code, out = run(tmp_path, command, self.config(tmp_path, command))
         assert code in (0, 3, 4)
         files = sorted(out.glob("*.json"))
         assert "manifest.json" in [f.name for f in files]

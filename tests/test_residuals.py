@@ -201,6 +201,21 @@ class TestResidualConstruction:
         r = form(X, chars, STD, bump())
         assert np.max(np.abs(r.values)) == 0.0
 
+    @pytest.mark.parametrize("form", [weak_dirichlet_residual, semimartingale_residual],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("F", ALL_FUNCTIONS, ids=lambda F: F.name)
+    def test_fixed_atoms_are_truncation_invariant(self, form, F):
+        # a fixed atom enters as F's expected jump: its k-jump of the drift and
+        # its -k(x) dF/dx compensator term cancel, so k leaves no bit behind
+        grid = TimeGrid(1.0, 256)
+        X = simulate_path(BrownianMotion(1.0), grid, SeedSpec(3, 0))
+        atoms = ((0.25, ((0.7, 0.4), (-1.3, 0.6))), (0.5, ((2.5, 1.0),)))
+        values = [
+            form(X, CharacteristicsModel(truncation=k, c_rate=1.0, fixed_atoms=atoms), k, F).values
+            for k in (STD, smooth_clip_truncation())
+        ]
+        assert values[0].tobytes() == values[1].tobytes()
+
 
 def white_noise_drift(seed, scale=1.0):
     """Path-dependent drift characteristic with no forward-integral limit."""
