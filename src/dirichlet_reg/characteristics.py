@@ -8,9 +8,8 @@ characteristic to the continuous brackets of X and X^c.
 The drift characteristic is assembled from three additive pieces: a linear
 slope (Levy-type models), a deterministic time profile, and a path-dependent
 rough part (fractional components, read from the simulator's component logs).
-Fixed-time atoms of the compensator are supported through synthetic schedules
-attached to a ``CharacteristicsModel``; all stochastic model families here are
-quasi-left-continuous and carry none.
+Only quasi-left-continuous characteristics are handled: nu({t} x R) = 0 at
+every t, so the drift characteristic is continuous.
 """
 
 from __future__ import annotations
@@ -109,9 +108,6 @@ def smooth_clip_truncation() -> TruncationFunction:
     return TruncationFunction(fn=fn, bound=1.0, name="smooth_clip")
 
 
-FixedAtomSchedule = tuple[tuple[float, tuple[tuple[float, float], ...]], ...]
-
-
 @dataclass(frozen=True)
 class CharacteristicsModel:
     """Evaluators for the triplet (drift characteristic, C, compensator).
@@ -120,8 +116,7 @@ class CharacteristicsModel:
     deterministic extra (finite variation); ``drift_path_fn`` an optional
     path-dependent rough extra, evaluated on a path's component logs.
     ``c_rate`` is the slope of C(t) = c_rate * t.
-    ``compensators`` lists (rate, law) pairs with nu(dt, dx) = rate dt law(dx);
-    ``fixed_atoms`` lists (time, ((x, weight), ...)) entries of nu({s} x dx).
+    ``compensators`` lists (rate, law) pairs with nu(dt, dx) = rate dt law(dx).
     """
 
     truncation: TruncationFunction
@@ -130,7 +125,6 @@ class CharacteristicsModel:
     drift_path_fn: Callable[[CadlagPath], np.ndarray] | None = None
     c_rate: float = 0.0
     compensators: tuple[tuple[float, JumpLaw], ...] = ()
-    fixed_atoms: FixedAtomSchedule = ()
 
     @property
     def bk_finite_variation(self) -> bool:
@@ -146,39 +140,16 @@ class CharacteristicsModel:
             for rate, law in self.compensators
         )
 
-    def atom_k_integrals(self, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-        """(node indices, integral of k d nu({s} x dx)) for the fixed atoms."""
-        k = self.truncation
-        idx = [grid.index_of(s) for s, _ in self.fixed_atoms]
-        # a running sum from 0, so an entry that sums to -0.0 reads 0.0
-        vals = [float(sum(w * float(k(np.float64(x))) for x, w in atoms))
-                for _, atoms in self.fixed_atoms]
-        return np.array(idx, dtype=np.int64), np.array(vals)
-
-    def _atom_steps(self, grid: TimeGrid) -> np.ndarray:
-        """Jump of the drift characteristic at every node (the fixed atoms)."""
-        idx, vals = self.atom_k_integrals(grid)
-        steps = np.zeros(grid.n_nodes)
-        np.add.at(steps, idx, vals)
-        return steps
-
     def bk_values(self, path: CadlagPath | PathBatch) -> np.ndarray:
         """Drift characteristic sampled along the path's grid: one row per path
         of a batch when it is path dependent, else one row for all."""
-        grid = path.grid
-        times = grid.times()
+        times = path.grid.times()
         out = self.drift_slope * times
         if self.drift_profile is not None:
             out = out + np.asarray(self.drift_profile(times), dtype=np.float64)
         if self.drift_path_fn is not None:
             out = out + np.asarray(self.drift_path_fn(path), dtype=np.float64)
-        if self.fixed_atoms:
-            out = out + np.cumsum(self._atom_steps(grid))
         return out
-
-    def bk_path(self, path: CadlagPath) -> CadlagPath:
-        steps = self._atom_steps(path.grid) if self.fixed_atoms else None
-        return CadlagPath(path.grid, self.bk_values(path), steps)
 
 
 def _fbm_sum_fn(names: Sequence[str]) -> Callable[[CadlagPath | PathBatch], np.ndarray]:
@@ -204,8 +175,9 @@ def known_characteristics(model: ModelSpec, k: TruncationFunction) -> Characteri
 
     For Levy-type models the drift characteristic is (trend + rate*E[k(J)])*t;
     fractional components enter as a path-dependent drift part; the compensator
-    is rate dt law(dx) and there are no fixed-time atoms (all these families
-    are quasi-left-continuous).  A single family is a composite of one leaf.
+    is rate dt law(dx).  Every family is quasi-left-continuous, the toolkit's
+    scope, so none has a fixed-time atom.  A single family is a composite of
+    one leaf.
     """
     composite = isinstance(model, Composite)
     # a lone leaf keeps its slope's bits: 0.0 + x would turn x = -0.0 into 0.0
@@ -305,7 +277,7 @@ def decompose(
     # a part without jumps keeps no dense zero jump row
     mdk = CadlagPath(grid, np.cumsum(kj) - lam_k * times, kj if kj.any() else None)
     large = CadlagPath(grid, np.cumsum(lj), lj if lj.any() else None)
-    bk = chars.bk_path(X)
+    bk = CadlagPath(grid, chars.bk_values(X))
     xc_values = X.values - (mdk.values + bk.values + large.values)
     xc = CadlagPath(grid, xc_values)
     recon = np.max(
@@ -331,12 +303,11 @@ def _decomposition_brackets(X, decomposition, schedule):
     )
 
 
-def _drift_bracket_report(X, model, k, brackets) -> IdentityReport:
+def _drift_bracket_report(brackets) -> IdentityReport:
     qv_x, qv_xc, qv_bk = brackets
-    atom_squares = np.cumsum(_as_chars(model, k)._atom_steps(X.grid) ** 2)
-    rhs = qv_x.continuous - qv_xc.limit + atom_squares
     return _identity_report(
-        "drift bracket identity", qv_bk.estimate.limit, rhs, (qv_bk.estimate, qv_x.estimate, qv_xc)
+        "drift bracket identity", qv_bk.estimate.limit, qv_x.continuous - qv_xc.limit,
+        (qv_bk.estimate, qv_x.estimate, qv_xc),
     )
 
 
@@ -355,11 +326,9 @@ def drift_bracket_check(
     k: TruncationFunction,
     schedule: EpsilonSchedule,
 ) -> IdentityReport:
-    """Compares [drift, drift] in sup norm against
-
-        [X, X]^c - [X^c, X^c] + sum over s <= t of (integral of k d nu({s}))^2.
-    """
-    return _drift_bracket_report(X, model, k, _decomposition_brackets(X, decomposition, schedule))
+    """Checks [drift, drift] = [X, X]^c - [X^c, X^c] in sup norm; ``model``
+    and ``k`` are not read, as no fixed-time atom enters the identity."""
+    return _drift_bracket_report(_decomposition_brackets(X, decomposition, schedule))
 
 
 def continuous_bracket_check(

@@ -425,7 +425,7 @@ def cmd_decompose(cfg: dict):
     dec = decompose(X, model, k)
     brackets = _decomposition_brackets(X, dec, schedule)
     for label, rep in (
-        ("drift_bracket", _drift_bracket_report(X, model, k, brackets)),
+        ("drift_bracket", _drift_bracket_report(brackets)),
         ("continuous_bracket", _continuous_bracket_report(brackets)),
     ):
         reports[label] = {

@@ -4,11 +4,10 @@ For a bounded C^{1,2} test function F and a path X with characteristics
 (drift, C, compensator), the residual subtracts from F(t, X_t) - F(0, X_0) one
 ds-integral of the time derivative, the compensated-jump rate, the
 second-order term driven by dC + d[drift, drift]^c and a finite-variation
-drift term, then a path-dependent drift's forward integral and each fixed
-atom's expected jump of F.  When the model is correct the residual is a local
-martingale; at desk scale this is tested as (a) zero mean at fixed times and
-(b) increment orthogonality against bounded functionals of the earlier path,
-both at a configurable SE level.
+drift term, then a path-dependent drift's forward integral.  When the model is
+correct the residual is a local martingale; at desk scale this is tested as
+(a) zero mean at fixed times and (b) increment orthogonality against bounded
+functionals of the earlier path, both at a configurable SE level.
 
 All ds-integrals use the left-endpoint Riemann rule; the inner jump-law
 expectation uses each law's fixed quadrature (exact for discrete atoms,
@@ -223,10 +222,7 @@ def _residual_blocks(
     The residual is F(t, X_t) - F(0, X_0) less one left Riemann sum of
     (dF/dt + compensated-jump rate) ds + 1/2 d2F/dx2 d(C + [drift, drift]^c),
     plus dF/dx d(drift) for a finite-variation drift, and less the forward
-    integral for a path-dependent one.  A fixed atom at node i subtracts F's
-    expected jump there, sum of w_a (F(s, X_{s-} + x_a) - F(s, X_{s-})), from
-    i on; the drift integral skips the atom's k-jump, which its -k dF/dx
-    compensator term cancels.
+    integral for a path-dependent one.
 
     Blocks keep the (rows, n+1) temporaries, above all those of the
     compensator's quadrature loop, in cache.  No operation mixes rows, so a
@@ -236,8 +232,6 @@ def _residual_blocks(
     # loops faster than when it broadcasts a 1-D array
     times = grid.times()[None]
     dt = grid.dt
-    atoms = [(grid.index_of(s), sizes) for s, sizes in chars.fixed_atoms]
-    atom_steps = np.cumsum(chars._atom_steps(grid)) if atoms else None
     c_inc = np.diff(chars.c_values(grid))
     laws = [(rate, *law.quadrature(), law_expectation(law, chars.truncation.fn))
             for rate, law in chars.compensators if rate != 0.0]
@@ -249,8 +243,6 @@ def _residual_blocks(
         rows = slice(start, start + _ROW_BLOCK)
         x, xl = values[rows], left[rows]
         b = bk[rows] if bk_per_row else bk
-        if atom_steps is not None:
-            b = b - atom_steps
 
         inc = c_inc
         integrand = F.fx(times, x if mode == "weak_dirichlet" else xl)
@@ -270,14 +262,6 @@ def _residual_blocks(
         residual = fv - fv[..., :1] - _cumsum0(ds)
         if fwd is not None:
             residual -= fwd
-        for i, sizes in atoms:
-            ts = times[0, i]
-            # scalar evaluation row by row: numpy's vector and scalar loops for
-            # transcendentals may differ in the last bit, and a residual row must
-            # not depend on the batch it is computed in
-            for row, xl_i in zip(residual, xl[:, i]):
-                f0 = F.f(ts, xl_i)
-                row[i:] -= sum(w_a * (F.f(ts, xl_i + x_a) - f0) for x_a, w_a in sizes)
         yield start, residual, converged
 
 
@@ -554,7 +538,7 @@ def drift_orthogonality_probe(
     chars = _as_chars(model, k)
     grid = X.grid
     fx = F.fx(grid.times(), X.values)
-    bk = chars.bk_path(X)
+    bk = CadlagPath(grid, chars.bk_values(X))
     fwd = forward_integral_limit(CadlagPath(grid, fx), bk, schedule)
     integral_path = CadlagPath(grid, fwd.limit)
 

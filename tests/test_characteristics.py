@@ -10,7 +10,6 @@ from dirichlet_reg import (
     CompoundPoisson,
     DeterministicDrift,
     DiscreteAtoms,
-    EpsilonSchedule,
     FractionalBrownianMotion,
     GaussianJumps,
     LevyJumpDiffusion,
@@ -21,7 +20,6 @@ from dirichlet_reg import (
     combine,
     continuous_bracket_check,
     convert_truncation,
-    covariation_limit,
     decompose,
     default_schedule,
     drift_bracket_check,
@@ -164,13 +162,15 @@ class TestDecompose:
         (BrownianMotion(1.0), ()),
         (CompoundPoisson(3.0, DiscreteAtoms((0.5, -0.5), (0.5, 0.5))), ("compensated_jumps",)),
         (CompoundPoisson(3.0, DiscreteAtoms((2.0, -2.0), (0.5, 0.5))), ("large_jumps",)),
-    ], ids=["brownian", "small_jumps", "large_jumps"])
+        (LevyJumpDiffusion(0.1, 1.0, 3.0, GaussianJumps(0.0, 0.5)), ("compensated_jumps",)),
+    ], ids=["brownian", "small_jumps", "large_jumps", "jump_diffusion"])
     def test_jump_part_without_jumps_keeps_no_jump_row(self, model, with_jumps):
+        # the drift part never jumps: the characteristics are quasi-left-continuous
         grid = TimeGrid(1.0, 2000)
         X = simulate_path(model, grid, SeedSpec(3, 0))
         assert (X.jump_indices.size > 0) == bool(with_jumps)
         dec = decompose(X, model, STD)
-        for name in ("compensated_jumps", "large_jumps"):
+        for name in ("compensated_jumps", "large_jumps", "drift"):
             jumps = getattr(dec, name).jumps
             assert (jumps.strides == (0,)) == (name not in with_jumps)
             assert np.any(jumps != 0.0) == (name in with_jumps)
@@ -231,76 +231,7 @@ class TestDecompose:
         assert np.all(np.abs(means) <= 3 * ses)
 
 
-class TestDriftJump:
-    GRID = TimeGrid(1.0, 100)
-
-    def drift_jumps(self, chars):
-        return chars.bk_path(CadlagPath(self.GRID, np.zeros(self.GRID.n_nodes))).jumps
-
-    def test_quasi_left_continuous_models_have_none(self):
-        model = LevyJumpDiffusion(0.1, 1.0, 3.0, GaussianJumps(0.0, 0.5))
-        chars = known_characteristics(model, STD)
-        idx, vals = chars.atom_k_integrals(self.GRID)
-        assert idx.size == vals.size == 0
-        assert not self.drift_jumps(chars).any()
-
-    def test_synthetic_atom_inside_radius(self):
-        chars = CharacteristicsModel(
-            truncation=STD, fixed_atoms=((0.5, ((0.3, 1.0),)),)
-        )
-        idx, vals = chars.atom_k_integrals(self.GRID)
-        assert idx.tolist() == [self.GRID.index_of(0.5)]
-        assert vals.tolist() == pytest.approx([0.3])
-        jumps = self.drift_jumps(chars)
-        assert jumps[self.GRID.index_of(0.5)] == pytest.approx(0.3)
-        assert jumps[self.GRID.index_of(0.25)] == 0.0
-
-    def test_synthetic_atom_beyond_cutoff(self):
-        chars = CharacteristicsModel(
-            truncation=STD, fixed_atoms=((0.5, ((2.0, 1.0),)),)
-        )
-        assert chars.atom_k_integrals(self.GRID)[1].tolist() == [0.0]
-        assert not self.drift_jumps(chars).any()
-
-    def test_atom_schedule_matches_drift_path_jumps(self):
-        chars = CharacteristicsModel(
-            truncation=STD,
-            drift_slope=0.2,
-            fixed_atoms=((0.25, ((0.3, 1.0),)), (0.75, ((-0.1, 2.0),))),
-        )
-        idx, vals = chars.atom_k_integrals(self.GRID)
-        jumps = self.drift_jumps(chars)
-        assert jumps[idx].tolist() == pytest.approx(vals.tolist())
-        assert np.count_nonzero(jumps) == 2
-
-    def test_atom_k_integral_per_entry(self):
-        # an entry summing to -0.0 reads 0.0
-        atoms = (
-            (0.2, ((0.3, 0.7), (-0.45, 0.25), (1.7, 1.0))),
-            (0.4, ((0.1, 1.0 / 3.0), (0.2, 1.0 / 7.0))),
-            (0.6, ((0.3, -0.0),)),
-            (0.8, ((2.0, 1.0),)),
-        )
-        chars = CharacteristicsModel(truncation=STD, fixed_atoms=atoms)
-        idx, vals = chars.atom_k_integrals(self.GRID)
-        assert idx.tolist() == [self.GRID.index_of(s) for s, _ in atoms]
-        assert vals.tolist() == pytest.approx(
-            [0.3 * 0.7 - 0.45 * 0.25, 0.1 / 3.0 + 0.2 / 7.0, 0.0, 0.0])
-        assert not np.signbit(vals[2])
-
-
 class TestBracketIdentities:
-    def test_step_drift_bracket_is_squared_jump_sum(self):
-        # finite-variation drift characteristic: bracket = sum of squared jumps
-        grid = TimeGrid(1.0, 1000)
-        chars = CharacteristicsModel(
-            truncation=STD, fixed_atoms=((0.3, ((0.4, 1.0),)), (0.7, ((0.2, 2.0),)))
-        )
-        X = CadlagPath(grid, np.zeros(grid.n_nodes))
-        bk = chars.bk_path(X)
-        est = covariation_limit(bk, bk, EpsilonSchedule((8, 4, 2, 1)))
-        assert est.limit[-1] == pytest.approx(0.4**2 + 0.4**2, abs=1e-12)
-
     def test_levy_model_both_sides_near_zero(self):
         grid = TimeGrid(1.0, 10_000)
         model = LevyJumpDiffusion(0.5, 1.0, 2.0, UniformJumps(-0.5, 0.5))

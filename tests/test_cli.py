@@ -311,6 +311,21 @@ class TestBadInput:
         err = self.check_rejected(tmp_path, "residual", cfg, capsys)
         assert f"config violates schema at {key}: {message}" in err
 
+    @pytest.mark.parametrize("model,key,message", [
+        ({"kind": "brownian", "sigma": "x"}, "model.sigma", "'x' is not of type 'number'"),
+        ({"kind": "levy_jump_diffusion", "drift": 0.3, "sigma": 1.0, "rate": 2.0,
+          "law": {"kind": "gaussian", "mean": 0.0, "sd": -1}},
+         "model.law.sd", "-1 is less than the minimum of 0"),
+        ({"kind": "nope"}, "model.kind", "'nope' is not one of ['brownian', "),
+        ({"kind": "composite", "components": [{"kind": "composite", "components": [BM]}]},
+         "model.components[0].kind", "'composite' is not one of ['brownian', "),
+    ], ids=["sigma", "law_sd", "kind", "component_kind"])
+    def test_model_schema_error_names_its_key(self, tmp_path, capsys, model, key, message):
+        # the schema picks a model's branch by its kind, so the error reaches the bad field
+        cfg = {"grid": self.GRID, "paths": 10, "model": model}
+        err = self.check_rejected(tmp_path, "residual", cfg, capsys)
+        assert f"config violates schema at {key}: {message}" in err
+
     def test_zero_size_heaviside_fixture_exits_2(self, tmp_path, capsys):
         cfg = {"grid": self.GRID, "source": {"kind": "fixture", "name": "heaviside",
                                              "jump_size": 0.0}}

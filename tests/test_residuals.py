@@ -185,42 +185,11 @@ class TestResidualConstruction:
         with pytest.raises(ValueError):
             semimartingale_residual(X, model, STD, exp_tanh())
 
-    @pytest.mark.parametrize("form", [weak_dirichlet_residual, semimartingale_residual],
-                             ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("x_a", [0.5, 2.0])
-    def test_fixed_atom_step_path_residual_vanishes(self, form, x_a):
-        # one atom of weight 1 at s = 0.5 and a path that jumps by x_a there:
-        # the drift and compensator atom terms cancel F's jump exactly,
-        # inside (0.5) and outside (2.0) the truncation cutoff
-        grid = TimeGrid(1.0, 200)
-        i = grid.index_of(0.5)
-        X = CadlagPath.from_jumps(
-            grid, np.where(np.arange(grid.n_nodes) >= i, x_a, 0.0), [(i, x_a)]
-        )
-        chars = CharacteristicsModel(truncation=STD, fixed_atoms=((0.5, ((x_a, 1.0),)),))
-        r = form(X, chars, STD, bump())
-        assert np.max(np.abs(r.values)) == 0.0
 
-    @pytest.mark.parametrize("form", [weak_dirichlet_residual, semimartingale_residual],
-                             ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("F", ALL_FUNCTIONS, ids=lambda F: F.name)
-    def test_fixed_atoms_are_truncation_invariant(self, form, F):
-        # a fixed atom enters as F's expected jump: its k-jump of the drift and
-        # its -k(x) dF/dx compensator term cancel, so k leaves no bit behind
-        grid = TimeGrid(1.0, 256)
-        X = simulate_path(BrownianMotion(1.0), grid, SeedSpec(3, 0))
-        atoms = ((0.25, ((0.7, 0.4), (-1.3, 0.6))), (0.5, ((2.5, 1.0),)))
-        values = [
-            form(X, CharacteristicsModel(truncation=k, c_rate=1.0, fixed_atoms=atoms), k, F).values
-            for k in (STD, smooth_clip_truncation())
-        ]
-        assert values[0].tobytes() == values[1].tobytes()
-
-
-def white_noise_drift(seed, scale=1.0):
+def white_noise_drift(seed):
     """Path-dependent drift characteristic with no forward-integral limit."""
     def drift(path):
-        return scale * np.random.default_rng(seed).standard_normal(path.values.shape)
+        return np.random.default_rng(seed).standard_normal(path.values.shape)
 
     return drift
 
@@ -257,22 +226,6 @@ class TestForwardConvergence:
         chars = CharacteristicsModel(truncation=STD, drift_path_fn=white_noise_drift(0))
         r = weak_dirichlet_residual(X, chars, STD, exp_tanh(), EpsilonSchedule((16, 8, 4, 2, 1)))
         assert r.forward_converged is False
-
-    def test_fixed_atoms_flag_reads_the_atom_free_drift(self):
-        # the residual integrates the drift without its fixed-atom step; the
-        # flag describes that integral, which here converges only with the step
-        grid = TimeGrid(1.0, 512)
-        schedule = EpsilonSchedule((16, 8, 4, 2, 1))
-        X = simulate_path(BrownianMotion(1.0), grid, SeedSpec(0, 0))
-        chars = CharacteristicsModel(
-            truncation=STD, drift_path_fn=white_noise_drift(0, 1e-4),
-            fixed_atoms=((0.5, ((0.5, 1.0),)),),
-        )
-        r = weak_dirichlet_residual(X, chars, STD, exp_tanh(), schedule)
-        atom_free = chars.bk_values(X) - np.cumsum(chars._atom_steps(grid))
-        assert r.forward_converged is forward_flag(X, exp_tanh(), schedule, atom_free)
-        assert r.forward_converged is False
-        assert forward_flag(X, exp_tanh(), schedule, chars.bk_path(X).values) is True
 
     @pytest.mark.parametrize("batch_size", [1, 7, 64])
     @pytest.mark.parametrize("family", ["fbm", "composite", "jump_diffusion"])
@@ -505,7 +458,7 @@ class TestOrthogonalityProbe:
         chars = known_characteristics(model, STD)
         X = simulate_path(model, grid, SeedSpec(3, 0))
         fx = CadlagPath(grid, exp_tanh().fx(grid.times(), X.values))
-        fwd = forward_integral_limit(fx, chars.bk_path(X), schedule)
+        fwd = forward_integral_limit(fx, CadlagPath(grid, chars.bk_values(X)), schedule)
         integral = CadlagPath(grid, fwd.limit)
         probes = [X.components["bm"], simulate_path(BrownianMotion(1.0), grid, SeedSpec(977, 0))]
         reports = drift_orthogonality_probe(X, model, STD, exp_tanh(), schedule)
