@@ -10,6 +10,7 @@ from dirichlet_reg import (
     CompoundPoisson,
     DeterministicDrift,
     DiscreteAtoms,
+    EpsilonSchedule,
     FractionalBrownianMotion,
     GaussianJumps,
     LevyJumpDiffusion,
@@ -20,6 +21,7 @@ from dirichlet_reg import (
     combine,
     continuous_bracket_check,
     convert_truncation,
+    covariation_limit,
     decompose,
     default_schedule,
     drift_bracket_check,
@@ -163,7 +165,9 @@ class TestDecompose:
         (CompoundPoisson(3.0, DiscreteAtoms((0.5, -0.5), (0.5, 0.5))), ("compensated_jumps",)),
         (CompoundPoisson(3.0, DiscreteAtoms((2.0, -2.0), (0.5, 0.5))), ("large_jumps",)),
         (LevyJumpDiffusion(0.1, 1.0, 3.0, GaussianJumps(0.0, 0.5)), ("compensated_jumps",)),
-    ], ids=["brownian", "small_jumps", "large_jumps", "jump_diffusion"])
+        (DeterministicDrift(lambda t: np.sin(3.0 * t) + t**2), ()),
+        (FractionalBrownianMotion(0.7, 0.5), ()),
+    ], ids=["brownian", "small_jumps", "large_jumps", "jump_diffusion", "drift", "fbm"])
     def test_jump_part_without_jumps_keeps_no_jump_row(self, model, with_jumps):
         # the drift part never jumps: the characteristics are quasi-left-continuous
         grid = TimeGrid(1.0, 2000)
@@ -232,6 +236,27 @@ class TestDecompose:
 
 
 class TestBracketIdentities:
+    @pytest.mark.parametrize("model", [
+        LevyJumpDiffusion(0.5, 1.0, 2.0, UniformJumps(0.0, 0.5)),
+        CompoundPoisson(2.0, UniformJumps(0.0, 0.5)),
+        DeterministicDrift(lambda t: np.sin(3.0 * t) + t**2),
+    ], ids=["jump_diffusion", "compound_poisson", "drift"])
+    def test_continuous_finite_variation_drift_bracket_vanishes(self, model):
+        # a Lipschitz drift characteristic with slope at most L has
+        # [B, B]^eps_T <= L^2 eps T, so its bracket has no jump sum and tends to 0
+        grid = TimeGrid(1.0, 1000)
+        X = simulate_path(model, grid, SeedSpec(21, 0))
+        bk = CadlagPath(grid, known_characteristics(model, STD).bk_values(X))
+        assert not bk.jumps.any()
+        lipschitz = np.max(np.abs(np.diff(bk.values))) / grid.dt
+        assert lipschitz > 0.0
+        schedule = EpsilonSchedule((8, 4, 2, 1))
+        est = covariation_limit(bk, bk, schedule)
+        bound = lipschitz**2 * est.eps_values * grid.T
+        assert np.all(est.trajectories[:, -1] <= bound * (1.0 + 1e-12))
+        rep = drift_bracket_check(X, decompose(X, model, STD), model, STD, schedule)
+        assert np.array_equal(rep.lhs, est.limit)
+
     def test_levy_model_both_sides_near_zero(self):
         grid = TimeGrid(1.0, 10_000)
         model = LevyJumpDiffusion(0.5, 1.0, 2.0, UniformJumps(-0.5, 0.5))

@@ -129,15 +129,19 @@ class TestResidualConstruction:
         n_jumps = X.jump_indices.size
         assert np.max(np.abs(ra.values - rb.values)) <= (n_jumps + 1) * grid.dt
 
-    def test_truncation_invariance_after_conversion(self):
+    @pytest.mark.parametrize("form", [weak_dirichlet_residual, semimartingale_residual],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("F", ALL_FUNCTIONS, ids=lambda F: F.name)
+    def test_truncation_invariance_after_conversion(self, form, F):
+        # the k-shift of the drift and the -k(x) dF/dx compensator term cancel
         grid = TimeGrid(1.0, 2000)
         smooth = smooth_clip_truncation()
         model = LevyJumpDiffusion(0.3, 1.0, 2.0, UniformJumps(0.2, 1.8))
         X = simulate_path(model, grid, SeedSpec(7, 0))
         base = known_characteristics(model, STD)
         conv = convert_truncation(model, STD, smooth)
-        r_std = semimartingale_residual(X, base, STD, exp_tanh())
-        r_sm = semimartingale_residual(X, conv, smooth, exp_tanh())
+        r_std = form(X, base, STD, F)
+        r_sm = form(X, conv, smooth, F)
         assert np.max(np.abs(r_std.values - r_sm.values)) <= 1e-8
 
     def test_linearity_in_test_function(self):
@@ -158,11 +162,18 @@ class TestResidualConstruction:
         rC = weak_dirichlet_residual(X, model, STD, C)
         assert np.max(np.abs(rC.values - (a * rF.values + b * rG.values))) <= 1e-12
 
-    def test_compound_poisson_residual_structure(self):
-        # time-homogeneous F: residual = F-increments minus the compensator sum
+    @pytest.mark.parametrize("form", [weak_dirichlet_residual, semimartingale_residual],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("x_a", [0.5, 2.0])
+    def test_compound_poisson_residual_structure(self, form, x_a):
+        # time-homogeneous F: residual = F-increments minus the compensator sum,
+        # for jumps inside (0.5) and outside (2.0) the truncation cutoff; the
+        # symmetric law has no drift and no -k(x) dF/dx term
         grid = TimeGrid(1.0, 400)
-        model = CompoundPoisson(1.0, DiscreteAtoms((2.0, -2.0), (0.5, 0.5)))
+        rate = 3.0
+        model = CompoundPoisson(rate, DiscreteAtoms((x_a, -x_a), (0.5, 0.5)))
         X = simulate_path(model, grid, SeedSpec(9, 0))
+        assert X.jump_indices.size > 0
         th = residuals.TestFunction(
             f=lambda t, x: np.tanh(x) + 0.0 * t,
             ft=lambda t, x: np.zeros(np.broadcast(t, x).shape),
@@ -170,10 +181,10 @@ class TestResidualConstruction:
             fxx=lambda t, x: -2 * np.tanh(x) * (1 - np.tanh(x) ** 2) + 0.0 * t,
             bound=1.0, name="tanh",
         )
-        r = semimartingale_residual(X, model, STD, th)
+        r = form(X, model, STD, th)
         left = X.left_values()
         comp = np.zeros(grid.n_nodes)
-        integrand = 0.5 * (np.tanh(left + 2.0) + np.tanh(left - 2.0)) - np.tanh(left)
+        integrand = rate * (0.5 * (np.tanh(left + x_a) + np.tanh(left - x_a)) - np.tanh(left))
         comp[1:] = np.cumsum(integrand[:-1] * grid.dt)
         expected = np.tanh(X.values) - np.tanh(X.values[0]) - comp
         assert np.max(np.abs(r.values - expected)) <= 1e-12
