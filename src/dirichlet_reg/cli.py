@@ -98,6 +98,8 @@ _DEFAULTS = {
 _MODEL_DEFAULTS = {"brownian": {"sigma": 1.0}, "fbm": {"scale": 1.0}}
 _RECOVER_DEFAULTS = {"w": 2.0, "x_max": 4.0, "x_cells": 1024, "weight_guard": 1e-3}
 _HEAVISIDE_DEFAULTS = {"jump_time": 0.5, "jump_size": 1.0}
+# the residual test functions by their --function name and config key
+_TEST_FUNCTIONS = {"exptanh": exp_tanh, "dampedsine": damped_sine, "bump": bump}
 # the largest Poisson mean numpy's Generator.poisson draws (its POISSON_LAM_MAX)
 _POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
@@ -255,10 +257,6 @@ def _truncation(cfg: dict):
     return standard_truncation() if cfg["truncation"] == "standard" else smooth_clip_truncation()
 
 
-def _test_function(cfg: dict):
-    return {"exptanh": exp_tanh, "dampedsine": damped_sine, "bump": bump}[cfg["function"]]()
-
-
 def _source_path(cfg: dict, grid: TimeGrid) -> CadlagPath:
     src = cfg["source"]
     kind = src["kind"]
@@ -395,7 +393,7 @@ def cmd_residual(cfg: dict):
             model,
             grid,
             _truncation(cfg),
-            _test_function(cfg),
+            _TEST_FUNCTIONS[cfg["function"]](),
             master_seed=cfg["seed"],
             n_paths=cfg["paths"],
             times=tuple(cfg["times"]),
@@ -519,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--function", choices=["exptanh", "dampedsine", "bump"], default=None)
+    p.add_argument("--function", choices=list(_TEST_FUNCTIONS), default=None)
     p.add_argument("--alpha-se", type=float, default=None, dest="alpha_se")
     p.add_argument("--out", default=None, help="output directory (env DIRICHLET_REG_OUT)")
     return p

@@ -12,7 +12,10 @@ functionals of the earlier path, both at a configurable SE level.
 All ds-integrals use the left-endpoint Riemann rule; the inner jump-law
 expectation uses each law's fixed quadrature (exact for discrete atoms,
 40-node Gauss rules otherwise); left limits at grid nodes feed the
-compensated-jump integrand.
+compensated-jump integrand.  A test function is ``f`` plus one ``jet``,
+which returns F and its three derivatives from shared subexpressions, F equal
+to ``f`` bit for bit; only the compensator's quadrature loop, which needs F
+alone at each node, calls ``f``.
 
 One kernel assembles residuals, in blocks of 32 rows so that its (rows, n+1)
 temporaries stay in cache; a per-path residual is a batch of one.  Ensembles
@@ -82,12 +85,12 @@ _BATCH_NODES = 2**18
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Bounded C^{1,2} function with evaluators for F, dF/dt, dF/dx, d2F/dx2."""
+    """Bounded C^{1,2} function: ``f`` gives F, ``jet`` (F, dF/dt, dF/dx, d2F/dx2)."""
+
+    __test__ = False  # not a pytest test class, whatever its name
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    ft: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    fx: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    fxx: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]]
     bound: float
     name: str
 
@@ -98,17 +101,12 @@ def exp_tanh() -> TestFunction:
     def f(t, x):
         return np.exp(-t) * np.tanh(x)
 
-    def ft(t, x):
-        return -np.exp(-t) * np.tanh(x)
+    def jet(t, x):
+        e, th = np.exp(-t), np.tanh(x)
+        f, sech2 = e * th, 1.0 - th**2
+        return f, -f, e * sech2, -2.0 * e * th * sech2
 
-    def fx(t, x):
-        return np.exp(-t) * (1.0 - np.tanh(x) ** 2)
-
-    def fxx(t, x):
-        th = np.tanh(x)
-        return -2.0 * np.exp(-t) * th * (1.0 - th**2)
-
-    return TestFunction(f, ft, fx, fxx, bound=1.0, name="exptanh")
+    return TestFunction(f, jet, bound=1.0, name="exptanh")
 
 
 def damped_sine() -> TestFunction:
@@ -117,16 +115,12 @@ def damped_sine() -> TestFunction:
     def f(t, x):
         return np.exp(-t) * np.sin(x)
 
-    def ft(t, x):
-        return -np.exp(-t) * np.sin(x)
+    def jet(t, x):
+        e = np.exp(-t)
+        f = e * np.sin(x)
+        return f, -f, e * np.cos(x), -f
 
-    def fx(t, x):
-        return np.exp(-t) * np.cos(x)
-
-    def fxx(t, x):
-        return -np.exp(-t) * np.sin(x)
-
-    return TestFunction(f, ft, fx, fxx, bound=1.0, name="dampedsine")
+    return TestFunction(f, jet, bound=1.0, name="dampedsine")
 
 
 def bump() -> TestFunction:
@@ -137,21 +131,15 @@ def bump() -> TestFunction:
         u = (np.asarray(x) / a) ** 2
         return np.where(u < 1.0, (1.0 - u) ** 3, 0.0) + 0.0 * np.asarray(t)
 
-    def ft(t, x):
-        return np.zeros(np.broadcast(np.asarray(t), np.asarray(x)).shape)
-
-    def fx(t, x):
-        x = np.asarray(x)
+    def jet(t, x):
+        t, x = np.asarray(t), np.asarray(x)
         u = (x / a) ** 2
-        return np.where(u < 1.0, -(6.0 * x / a**2) * (1.0 - u) ** 2, 0.0)
+        inside, v = u < 1.0, 1.0 - u
+        return (np.where(inside, v**3, 0.0) + 0.0 * t, np.zeros(np.broadcast(t, x).shape),
+                np.where(inside, -(6.0 * x / a**2) * v**2, 0.0),
+                np.where(inside, (6.0 / a**2) * v * (5.0 * u - 1.0), 0.0))
 
-    def fxx(t, x):
-        x = np.asarray(x)
-        u = (x / a) ** 2
-        val = (6.0 / a**2) * (1.0 - u) * (5.0 * u - 1.0)
-        return np.where(u < 1.0, val, 0.0)
-
-    return TestFunction(f, ft, fx, fxx, bound=1.0, name="bump")
+    return TestFunction(f, jet, bound=1.0, name="bump")
 
 
 # ---------------------------------------------------------------------------
@@ -167,21 +155,20 @@ class ResidualPath:
     forward_converged: bool = True
 
 
-def _compensator_term(times: np.ndarray, left: np.ndarray, F: TestFunction,
+def _compensator_term(times: np.ndarray, left: np.ndarray, f_left: np.ndarray,
+                      fx_left: np.ndarray, F: TestFunction,
                       laws: list[tuple[float, np.ndarray, np.ndarray, float]]) -> np.ndarray:
-    """Compensated-jump rate at every node of (B, n+1) rows of left limits:
+    """Compensated-jump rate at each node of (B, n+1) left-limit rows, given F and dF/dx there:
         sum of rate * E[F(s, X_{s-} + J) - F(s, X_{s-}) - k(J) dF/dx(s, X_{s-})]
     over ``laws``, the (rate, quadrature nodes, weights, E[k(J)]) of each
     compensator entry with a nonzero rate.
     """
     integrand = np.zeros_like(left)
-    base_f = F.f(times, left)
-    base_fx = F.fx(times, left)
     for rate, xq, wq, kbar in laws:
         acc = np.zeros_like(left)
         for x_i, w_i in zip(xq, wq):
             acc += w_i * F.f(times, left + x_i)
-        integrand += rate * (acc - base_f - kbar * base_fx)
+        integrand += rate * (acc - f_left - kbar * fx_left)
     return integrand
 
 
@@ -213,11 +200,13 @@ def _residual_blocks(
     with ``_check_mode``, picks the drift integrand: dF/dx at right values for
     ``"weak_dirichlet"`` (forward-integral form), at left limits for
     ``"semimartingale"`` (classical Stieltjes form, finite-variation drift
-    only).  A path-dependent drift is integrated by the eps-regularized forward
-    rule at the schedule's finest eps, and its continuous bracket enters the
-    second-order term at the same eps, so the two discretization biases
-    cancel.  Its flag applies the ``CovariationEstimate.converged`` rule to the
-    three finest forward trajectories; a finite-variation drift converges.
+    only).  F comes from one jet at right values, and from a second at left
+    limits only when a compensator or that form needs them.  A path-dependent
+    drift is integrated by the eps-regularized forward rule at the schedule's
+    finest eps, and its continuous bracket enters the second-order term at the
+    same eps, so the two discretization biases cancel.  Its flag applies the
+    ``CovariationEstimate.converged`` rule to the three finest forward
+    trajectories; a finite-variation drift converges.
 
     The residual is F(t, X_t) - F(0, X_0) less one left Riemann sum of
     (dF/dt + compensated-jump rate) ds + 1/2 d2F/dx2 d(C + [drift, drift]^c),
@@ -238,27 +227,30 @@ def _residual_blocks(
     if chars.drift_path_fn is not None:
         finest = (schedule or default_schedule(grid)).multiples[-3:]
     bk_per_row = bk.ndim == 2 and bk.shape[0] > 1
+    needs_left = bool(laws) or mode == "semimartingale"
 
     for start in range(0, values.shape[0], _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         x, xl = values[rows], left[rows]
         b = bk[rows] if bk_per_row else bk
 
+        fv, rate, integrand, fxx = F.jet(times, x)
+        if needs_left:
+            fl, _, fxl, _ = F.jet(times, xl)
+            if mode == "semimartingale":
+                integrand = fxl
         inc = c_inc
-        integrand = F.fx(times, x if mode == "weak_dirichlet" else xl)
         converged = np.ones(x.shape[0], dtype=bool)
         fwd = None
         if chars.drift_path_fn is not None:
             _, converged, fwd = _refinement(_fwd_eps(integrand, b, m) for m in finest)
             inc = inc + np.diff(_qv_eps(b, finest[-1]))
-        rate = F.ft(times, x)
         if laws:
-            rate = rate + _compensator_term(times, xl, F, laws)
-        ds = rate[..., :-1] * dt + 0.5 * F.fxx(times, x)[..., :-1] * inc
+            rate = rate + _compensator_term(times, xl, fl, fxl, F, laws)
+        ds = rate[..., :-1] * dt + 0.5 * fxx[..., :-1] * inc
         if fwd is None:
             ds += integrand[..., :-1] * np.diff(b)
 
-        fv = F.f(times, x)
         residual = fv - fv[..., :1] - _cumsum0(ds)
         if fwd is not None:
             residual -= fwd
@@ -537,7 +529,7 @@ def drift_orthogonality_probe(
     """
     chars = _as_chars(model, k)
     grid = X.grid
-    fx = F.fx(grid.times(), X.values)
+    fx = F.jet(grid.times(), X.values)[2]
     bk = CadlagPath(grid, chars.bk_values(X))
     fwd = forward_integral_limit(CadlagPath(grid, fx), bk, schedule)
     integral_path = CadlagPath(grid, fwd.limit)

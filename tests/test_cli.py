@@ -532,6 +532,16 @@ class TestResidual:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["function"] == "dampedsine"
 
+    def test_function_names_agree(self):
+        # the table, the --function choices, the schema enum and F.name
+        names = list(cli._TEST_FUNCTIONS)
+        action = next(a for a in cli.build_parser()._actions if a.dest == "function")
+        schema_file = resources.files("dirichlet_reg").joinpath("config_schema.json")
+        schema = json.loads(schema_file.read_text())
+        assert list(action.choices) == names
+        assert schema["properties"]["function"]["enum"] == names
+        assert [make().name for make in cli._TEST_FUNCTIONS.values()] == names
+
     def test_manifest_counts_no_nonconverged_forward_integral_for_brownian(self, tmp_path):
         code, out = run(tmp_path, "residual", dict(self.BASE, paths=200))
         assert code == 0

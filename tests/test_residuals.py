@@ -19,6 +19,7 @@ from dirichlet_reg import (
     LevyJumpDiffusion,
     ResidualEnsemble,
     SeedSpec,
+    TestFunction,
     TimeGrid,
     UniformJumps,
     bump,
@@ -77,9 +78,18 @@ class TestTestFunctions:
         ft_fd = (F.f(T + h, X) - F.f(T - h, X)) / (2 * h)
         fxx_fd = (F.f(T, X + h) - 2 * F.f(T, X) + F.f(T, X - h)) / h**2
         scale = 10 * h**2
-        assert np.max(np.abs(F.fx(T, X) - fx_fd)) <= scale * 10
-        assert np.max(np.abs(F.ft(T, X) - ft_fd)) <= scale * 10
-        assert np.max(np.abs(F.fxx(T, X) - fxx_fd)) <= scale * 100
+        f, ft, fx, fxx = F.jet(T, X)
+        assert np.max(np.abs(fx - fx_fd)) <= scale * 10
+        assert np.max(np.abs(ft - ft_fd)) <= scale * 10
+        assert np.max(np.abs(fxx - fxx_fd)) <= scale * 100
+        # the jet's F is f bit for bit, on the meshgrid and on the kernel's
+        # shapes: a (1, n+1) time row against (32, n+1) path values
+        assert f.tobytes() == F.f(T, X).tobytes()
+        row = np.linspace(0.0, 1.0, 65)[None]
+        values = np.random.default_rng(0).normal(0.0, 2.0, (32, 65))
+        f = F.jet(row, values)[0]
+        assert f.shape == values.shape
+        assert f.tobytes() == F.f(row, values).tobytes()
 
     @pytest.mark.parametrize("F", ALL_FUNCTIONS, ids=lambda F: F.name)
     def test_bounded(self, F):
@@ -152,11 +162,9 @@ class TestResidualConstruction:
         a, b = 0.6, -1.2
         rF = weak_dirichlet_residual(X, model, STD, F)
         rG = weak_dirichlet_residual(X, model, STD, G)
-        C = residuals.TestFunction(
+        C = TestFunction(
             f=lambda t, x: a * F.f(t, x) + b * G.f(t, x),
-            ft=lambda t, x: a * F.ft(t, x) + b * G.ft(t, x),
-            fx=lambda t, x: a * F.fx(t, x) + b * G.fx(t, x),
-            fxx=lambda t, x: a * F.fxx(t, x) + b * G.fxx(t, x),
+            jet=lambda t, x: tuple(a * p + b * q for p, q in zip(F.jet(t, x), G.jet(t, x))),
             bound=abs(a) * F.bound + abs(b) * G.bound, name="combined",
         )
         rC = weak_dirichlet_residual(X, model, STD, C)
@@ -174,13 +182,12 @@ class TestResidualConstruction:
         model = CompoundPoisson(rate, DiscreteAtoms((x_a, -x_a), (0.5, 0.5)))
         X = simulate_path(model, grid, SeedSpec(9, 0))
         assert X.jump_indices.size > 0
-        th = residuals.TestFunction(
-            f=lambda t, x: np.tanh(x) + 0.0 * t,
-            ft=lambda t, x: np.zeros(np.broadcast(t, x).shape),
-            fx=lambda t, x: 1 - np.tanh(x) ** 2 + 0.0 * t,
-            fxx=lambda t, x: -2 * np.tanh(x) * (1 - np.tanh(x) ** 2) + 0.0 * t,
-            bound=1.0, name="tanh",
-        )
+        def tanh_jet(t, x):
+            th = np.tanh(x) + 0.0 * t
+            return th, np.zeros_like(th), 1 - th**2, -2 * th * (1 - th**2)
+
+        th = TestFunction(f=lambda t, x: np.tanh(x) + 0.0 * t, jet=tanh_jet, bound=1.0,
+                          name="tanh")
         r = form(X, model, STD, th)
         left = X.left_values()
         comp = np.zeros(grid.n_nodes)
@@ -207,7 +214,7 @@ def white_noise_drift(seed):
 
 def forward_flag(X, F, schedule, bk):
     """The forward integral's convergence, judged by forward_integral_limit."""
-    fx = CadlagPath(X.grid, F.fx(X.grid.times(), X.values))
+    fx = CadlagPath(X.grid, F.jet(X.grid.times(), X.values)[2])
     return forward_integral_limit(fx, CadlagPath(X.grid, bk), schedule).converged
 
 
@@ -344,17 +351,18 @@ class TestEnsembleRunner:
         for t in a.residual_at:
             assert np.array_equal(a.residual_at[t], b.residual_at[t])
 
+    @pytest.mark.parametrize("F", ALL_FUNCTIONS, ids=lambda F: F.name)
     @pytest.mark.parametrize("family,mode", FAMILY_MODES)
-    def test_matches_per_path_residuals(self, family, mode):
+    def test_matches_per_path_residuals(self, family, mode, F):
         # both go through one kernel: the ensemble rows are the per-path
         # residuals bit for bit, at test and probe times alike
         grid = TimeGrid(1.0, 256)
         model = FAMILIES[family]
         residual = weak_dirichlet_residual if mode == "weak_dirichlet" else semimartingale_residual
-        ens = residual_ensemble(model, grid, STD, exp_tanh(), 11, 5, mode=mode, batch_size=3)
+        ens = residual_ensemble(model, grid, STD, F, 11, 5, mode=mode, batch_size=3)
         for i in range(5):
             X = simulate_path(model, grid, SeedSpec(11, i))
-            r = residual(X, model, STD, exp_tanh())
+            r = residual(X, model, STD, F)
             for t in ens.residual_at:
                 assert ens.residual_at[t][i] == r.values[grid.index_of(t)]
             for s in ens.path_at:
@@ -468,7 +476,7 @@ class TestOrthogonalityProbe:
         model = FAMILIES["composite"]
         chars = known_characteristics(model, STD)
         X = simulate_path(model, grid, SeedSpec(3, 0))
-        fx = CadlagPath(grid, exp_tanh().fx(grid.times(), X.values))
+        fx = CadlagPath(grid, exp_tanh().jet(grid.times(), X.values)[2])
         fwd = forward_integral_limit(fx, CadlagPath(grid, chars.bk_values(X)), schedule)
         integral = CadlagPath(grid, fwd.limit)
         probes = [X.components["bm"], simulate_path(BrownianMotion(1.0), grid, SeedSpec(977, 0))]
