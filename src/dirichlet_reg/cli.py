@@ -71,6 +71,7 @@ from .simulate import (
     LevyJumpDiffusion,
     SeedSpec,
     UniformJumps,
+    _MAX_FBM_STEPS,
     _QUAD_NODES,
     _component_list,
     simulate_path,
@@ -201,19 +202,24 @@ def _build_law(spec: dict):
     raise ConfigError(f"unknown law kind {kind!r}")
 
 
-def _build_model(cfg: dict):
-    """The model of a config's ``model`` section; bad parameters, and a jump
-    rate whose Poisson mean over the horizon numpy cannot draw, are config
-    errors."""
+def _build_model(cfg: dict, grids: list[TimeGrid]):
+    """The model of a config's ``model`` section, to be simulated on ``grids``;
+    bad parameters, a jump rate whose Poisson mean over the horizon numpy
+    cannot draw, and fractional noise on more steps than its generator takes
+    are config errors."""
     try:
         model = _model_from_spec(cfg["model"])
     except ValueError as exc:
         raise ConfigError(f"bad model: {exc}") from exc
     horizon = cfg["grid"]["horizon"]
+    steps = max(grid.n_steps for grid in grids)
     for comp in _component_list(model):
         if isinstance(comp, CompoundPoisson) and comp.rate * horizon > _POISSON_LAM_MAX:
             raise ConfigError(f"bad model: rate {comp.rate!r} over horizon {horizon!r} is a "
                               f"Poisson mean above {_POISSON_LAM_MAX:.6g}, the largest numpy draws")
+        if isinstance(comp, FractionalBrownianMotion) and comp.scale > 0 and steps > _MAX_FBM_STEPS:
+            raise ConfigError(f"bad model: fbm on {steps} steps is above the step limit "
+                              f"{_MAX_FBM_STEPS} (2^23) of exact fractional noise")
     return model
 
 
@@ -263,7 +269,7 @@ def _source_path(cfg: dict, grid: TimeGrid) -> CadlagPath:
     if kind == "model":
         if "model" not in cfg:
             raise ConfigError("source kind 'model' needs a model in the config")
-        return simulate_path(_build_model(cfg), grid, SeedSpec(cfg["seed"], 0))
+        return simulate_path(_build_model(cfg, [grid]), grid, SeedSpec(cfg["seed"], 0))
     if kind == "csv":
         try:
             X = CadlagPath.from_csv(src["file"])
@@ -340,7 +346,7 @@ def _write_manifest(outdir: Path, cfg: dict, command: str, verdicts: dict,
 
 def cmd_simulate(cfg: dict):
     grid = _build_grid(cfg)
-    model = _build_model(cfg)
+    model = _build_model(cfg, [grid])
     n = cfg["paths"]
     t = _format(grid.times())
     finals = np.empty(n)
@@ -386,7 +392,7 @@ def _estimator_command(cfg: dict, command: str):
 
 def cmd_residual(cfg: dict):
     grid = _build_grid(cfg)
-    model = _build_model(cfg)
+    model = _build_model(cfg, [grid])
     schedule = _schedule(cfg["eps_multiples"], grid)
     try:
         ens = residual_ensemble(
@@ -413,7 +419,7 @@ def cmd_residual(cfg: dict):
 
 def cmd_decompose(cfg: dict):
     grid = _build_grid(cfg)
-    model = _build_model(cfg)
+    model = _build_model(cfg, [grid])
     k = _truncation(cfg)
     schedule = _schedule(cfg["eps_multiples"], grid)
     X = simulate_path(model, grid, SeedSpec(cfg["seed"], 0))
@@ -482,7 +488,7 @@ def cmd_sweep(cfg: dict):
     horizon = float(cfg["grid"]["horizon"])
     grids = [TimeGrid(horizon, int(steps)) for steps in sw["steps_list"]]
     schedules = [_schedule(eps_multiples, grid) for grid in grids]
-    model = _build_model(cfg)
+    model = _build_model(cfg, grids)
     blocks = []
     for grid, schedule in zip(grids, schedules):
         X = simulate_path(model, grid, SeedSpec(cfg["seed"], 0))

@@ -47,6 +47,26 @@ _GL_NODES = 64
 _U_BLOCK = 64  # u rows per block of exponentials
 
 
+def _check_axis(axis: np.ndarray, values: np.ndarray, pair: str, name: str) -> None:
+    """A sample axis: 1-d, aligned with its values, at least 2 samples,
+    strictly increasing and uniform to 1e-9."""
+    if axis.shape != values.shape or axis.ndim != 1 or axis.size < 2:
+        raise ValueError(f"{pair} must be aligned 1-d arrays")
+    step = np.diff(axis)
+    if not np.all(step > 0):
+        raise ValueError(f"{name} must be strictly increasing")
+    if np.any(np.abs(step - step[0]) > 1e-9 * abs(step[0])):
+        raise ValueError(f"{name} must be uniform")
+
+
+def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
+    """Trapezoid weights of a uniform axis: its spacing, halved at both ends."""
+    w = np.full(axis.size, axis[1] - axis[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 @dataclass(frozen=True)
 class WeightedAtoms:
     """Signed point masses sum of w_i * delta_{x_i}, with all x_i != 0."""
@@ -68,9 +88,6 @@ class WeightedAtoms:
         """Locations and weights of the exact sum."""
         return self.xs, self.ws
 
-    def integrate(self, f) -> complex:
-        return complex(np.sum(self.ws * f(self.xs)))
-
 
 @dataclass(frozen=True)
 class GriddedDensity:
@@ -86,13 +103,7 @@ class GriddedDensity:
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=np.float64)
         d = np.asarray(self.density, dtype=np.float64)
-        if xs.shape != d.shape or xs.ndim != 1 or xs.size < 2:
-            raise ValueError("grid and density must be aligned 1-d arrays")
-        step = np.diff(xs)
-        if not np.all(step > 0):
-            raise ValueError("x-grid must be strictly increasing")
-        if np.any(np.abs(step - step[0]) > 1e-9 * abs(step[0])):
-            raise ValueError("x-grid must be uniform")
+        _check_axis(xs, d, "grid and density", "x-grid")
         if not np.all(np.isfinite(d)):
             raise ValueError("density values must be finite")
         object.__setattr__(self, "xs", xs)
@@ -102,19 +113,11 @@ class GriddedDensity:
     def spacing(self) -> float:
         return float(self.xs[1] - self.xs[0])
 
-    def _weights(self) -> np.ndarray:
-        w = np.full(self.xs.size, self.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        w[np.abs(self.xs) < self.spacing] = 0.0  # hole around the origin
-        return w
-
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Grid points and trapezoid weights times density."""
-        return self.xs, self._weights() * self.density
-
-    def integrate(self, f) -> complex:
-        return complex(np.sum(self.nodes()[1] * f(self.xs)))
+        w = _trapezoid_weights(self.xs)
+        w[np.abs(self.xs) < self.spacing] = 0.0  # hole around the origin
+        return self.xs, w * self.density
 
 
 LevyMeasure1D = Union[WeightedAtoms, GriddedDensity]
@@ -177,13 +180,7 @@ class ExponentGrid:
     def __post_init__(self):
         u = np.asarray(self.u, dtype=np.float64)
         psi = np.asarray(self.psi, dtype=np.complex128)
-        if u.shape != psi.shape or u.ndim != 1 or u.size < 2:
-            raise ValueError("u and psi must be aligned 1-d arrays")
-        step = np.diff(u)
-        if not np.all(step > 0):
-            raise ValueError("u-grid must be strictly increasing")
-        if np.any(np.abs(step - step[0]) > 1e-9 * abs(step[0])):
-            raise ValueError("u-grid must be uniform")
+        _check_axis(u, psi, "u and psi", "u-grid")
         if abs(u[0] + u[-1]) > 1e-9 * abs(u[-1]):
             raise ValueError("u-grid must be symmetric about 0")
         zero = np.flatnonzero(u == 0.0)
@@ -298,10 +295,7 @@ def recover_triplet(
         raise ValueError("admissible u-window too small; reduce |w|")
     phi = np.atleast_1d(phi_w(grid, w, u_sub))
 
-    du = u_sub[1] - u_sub[0]
-    u_weights = np.full(u_sub.size, du)
-    u_weights[0] *= 0.5
-    u_weights[-1] *= 0.5
+    u_weights = _trapezoid_weights(u_sub)
     window = float(np.sum(u_weights))
 
     xs = (np.arange(x_cells) + 0.5) * (2 * x_max / x_cells) - x_max

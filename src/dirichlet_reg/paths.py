@@ -135,10 +135,6 @@ class CadlagPath:
             return float(self.values[i] - self.jumps[i])
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
-    def squared_jump_trajectory(self) -> np.ndarray:
-        """Cumulative sum of squared jumps, evaluated at every node."""
-        return np.cumsum(self.jumps ** 2)
-
     def map(self, f: Callable[[np.ndarray], np.ndarray]) -> "CadlagPath":
         """Image path f(X) with the induced jumps (zero where f(X) does not jump)."""
         new_values = np.asarray(f(self.values), dtype=np.float64)
@@ -269,10 +265,14 @@ def star_integral(
     return float(np.cumsum(v)[-1] + 0.0)
 
 
-def combine(a: float, X: CadlagPath, b: float, Y: CadlagPath) -> CadlagPath:
-    """Linear combination a*X + b*Y; a cancelled jump is no jump."""
+def _check_grids(X: CadlagPath, Y: CadlagPath) -> None:
     if X.grid != Y.grid:
         raise GridMismatchError("paths live on different grids")
+
+
+def combine(a: float, X: CadlagPath, b: float, Y: CadlagPath) -> CadlagPath:
+    """Linear combination a*X + b*Y; a cancelled jump is no jump."""
+    _check_grids(X, Y)
     jumps = a * X.jumps + b * Y.jumps
     jumps += 0.0  # -0.0 (from -1 * 0.0) is no jump
     return CadlagPath(X.grid, a * X.values + b * Y.values, jumps)

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .paths import CadlagPath, GridMismatchError, TimeGrid
+from .paths import CadlagPath, TimeGrid, _check_grids
 
 __all__ = [
     "EpsilonSchedule",
@@ -92,11 +92,6 @@ def _check_eps(X: CadlagPath, Y: CadlagPath, eps: float) -> int:
     if eps >= grid.T:
         raise ValueError("eps must be smaller than the horizon")
     return m
-
-
-def _check_grids(X: CadlagPath, Y: CadlagPath) -> None:
-    if X.grid != Y.grid:
-        raise GridMismatchError("paths live on different grids")
 
 
 def _cumsum0(x: np.ndarray) -> np.ndarray:
@@ -337,10 +332,15 @@ class QvDecomposition:
     estimate: CovariationEstimate
 
 
+def _jump_bracket(X: CadlagPath, Y: CadlagPath) -> np.ndarray:
+    """The jump part of [X, Y], the running sum of dX dY, at every node."""
+    return np.cumsum(X.jumps * Y.jumps)
+
+
 def qv_decompose(X: CadlagPath, schedule: EpsilonSchedule) -> QvDecomposition:
     """Continuous / jump split of [X, X]: jump part from the jumps, exactly."""
     est = covariation_limit(X, X, schedule)
-    jump = X.squared_jump_trajectory()
+    jump = _jump_bracket(X, X)
     return QvDecomposition(continuous=est.limit - jump, jump=jump, estimate=est)
 
 
@@ -394,7 +394,7 @@ def pure_jump_covariation_check(
         f"continuous bracket of first path is {cont_sup:.3g}, above tolerance {tol:.3g}"
     )
     est = _covariation_against(qv_y.estimate, Y, Z, schedule)
-    rhs = np.cumsum(Y.jumps * Z.jumps)
+    rhs = _jump_bracket(Y, Z)
     return _identity_report("pure-jump covariation", est.limit, rhs, (est,), pre_ok, note)
 
 
@@ -412,7 +412,7 @@ def smooth_map_qv_check(
     img = X.map(phi)
     lhs_est = covariation_limit(img, img, schedule)
     g = np.asarray(dphi(X.left_values()), dtype=np.float64) ** 2
-    rhs = _cumsum0(g[:-1] * np.diff(qv_x.continuous)) + img.squared_jump_trajectory()
+    rhs = _cumsum0(g[:-1] * np.diff(qv_x.continuous)) + _jump_bracket(img, img)
     return _identity_report("C1 bracket stability", lhs_est.limit, rhs, (lhs_est, qv_x.estimate))
 
 
@@ -430,13 +430,11 @@ def smooth_map_cross_check(
         int phi'(X1_s) psi'(X2_{s-}) d[X1,X2]^c_s + sum of phi/psi jump products.
     """
     cross = covariation_limit(X1, X2, schedule)
-    cross_jump = np.cumsum(X1.jumps * X2.jumps)
-    cross_cont = cross.limit - cross_jump
+    cross_cont = cross.limit - _jump_bracket(X1, X2)
     img1, img2 = X1.map(phi), X2.map(psi)
     lhs_est = covariation_limit(img1, img2, schedule)
     g = np.asarray(dphi(X1.values), np.float64) * np.asarray(
         dpsi(X2.left_values()), np.float64
     )
-    img_jumps = np.cumsum(img1.jumps * img2.jumps)
-    rhs = _cumsum0(g[:-1] * np.diff(cross_cont)) + img_jumps
+    rhs = _cumsum0(g[:-1] * np.diff(cross_cont)) + _jump_bracket(img1, img2)
     return _identity_report("C1 cross-bracket stability", lhs_est.limit, rhs, (lhs_est, cross))

@@ -93,7 +93,7 @@ def test_criterion_1_exact_step_paths():
         got = covariation_eps(X, Y, m * grid.dt)[-1]
         worst = max(worst, abs(got - expected))
     dec = qv_decompose(X, default_schedule(grid))
-    jump_sum = X.squared_jump_trajectory()
+    jump_sum = np.cumsum(X.jumps * X.jumps)
     worst_qv = max(
         float(np.max(np.abs(dec.continuous))),
         float(np.max(np.abs(dec.jump - jump_sum))),

@@ -1,6 +1,7 @@
 """The public API is consistent: every ``__all__`` entry of a module resolves,
-every name the package re-exports is in its module's ``__all__``, and every
-``__all__`` entry has a reader outside the tests."""
+the package publishes exactly the modules' ``__all__`` entries, and every
+``__all__`` entry and every public method of a listed class has a reader
+outside the tests."""
 
 import ast
 import importlib
@@ -25,13 +26,20 @@ def test_all_entries_resolve(name):
     assert len(set(public)) == len(public)
 
 
-def test_package_imports_only_public_names():
-    imports = [node for node in ast.parse(inspect.getsource(dirichlet_reg)).body
-               if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert imports
-    for node in imports:
-        mod = importlib.import_module(f"dirichlet_reg.{node.module}")
-        assert [a.name for a in node.names if a.name not in mod.__all__] == []
+def _public_names():
+    """(module name, entry, object) for every ``__all__`` entry of every module."""
+    modules = {name: importlib.import_module(f"dirichlet_reg.{name}") for name in MODULES}
+    return [(name, entry, getattr(mod, entry))
+            for name, mod in modules.items() for entry in getattr(mod, "__all__", ())]
+
+
+def test_package_publishes_exactly_the_modules_public_names():
+    declared = {entry: obj for _, entry, obj in _public_names()}
+    assert len(declared) == len(_public_names())  # no name is defined in two modules
+    published = {name: obj for name, obj in vars(dirichlet_reg).items()
+                 if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert set(published) == set(declared)
+    assert all(published[name] is obj for name, obj in declared.items())
 
 
 def _names_read(path):
@@ -46,15 +54,29 @@ def _names_read(path):
     return read
 
 
-def test_every_public_name_has_a_reader_outside_the_tests():
-    # readers: the package's code, the demos, the benchmark, or the README
+def _unread(names):
+    """The names with no reader outside the tests: none of the package's
+    code, the demos or the benchmark reads them, and the README does not
+    name them."""
     files = [f for d in ("src", "demos", "perfbench") for f in (ROOT / d).rglob("*.py")]
     read = set().union(*map(_names_read, files))
     readme = (ROOT / "README.md").read_text()
-    unread = [
-        f"{name}.{entry}"
-        for name in MODULES
-        for entry in getattr(importlib.import_module(f"dirichlet_reg.{name}"), "__all__", ())
-        if entry not in read and not re.search(rf"\b{re.escape(entry)}\b", readme)
+    return [name for name in names
+            if name.rpartition(".")[2] not in read
+            and not re.search(rf"\b{re.escape(name.rpartition('.')[2])}\b", readme)]
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    assert _unread(f"{name}.{entry}" for name, entry, _ in _public_names()) == []
+
+
+def test_every_public_method_has_a_reader_outside_the_tests():
+    methods = [
+        f"{name}.{entry}.{attr}"
+        for name, entry, cls in _public_names() if inspect.isclass(cls)
+        for attr, obj in vars(cls).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(obj) or isinstance(obj, (property, classmethod, staticmethod)))
     ]
-    assert unread == []
+    assert methods
+    assert _unread(methods) == []

@@ -142,6 +142,17 @@ class TestBadInput:
                "sweep": {"steps_list": [400, 100], "eps_multiples": [200, 100]}}
         self.check_rejected(tmp_path, "sweep", cfg, capsys)
 
+    @pytest.mark.parametrize("command", ["simulate", "qv", "fwdint", "residual", "decompose",
+                                         "sweep"])
+    def test_fbm_beyond_the_step_limit_exits_2(self, tmp_path, capsys, command):
+        # 2^23 + 1 steps; sweep runs the limit-breaking grid from its steps_list
+        too_fine = 8388609
+        cfg = {"grid": {"horizon": 1.0, "steps": 64 if command == "sweep" else too_fine},
+               "model": {"kind": "fbm", "hurst": 0.7},
+               "sweep": {"steps_list": [64, too_fine]}}
+        err = self.check_rejected(tmp_path, command, cfg, capsys)
+        assert "step limit 8388608" in err
+
 
     @pytest.mark.parametrize("command,section", [
         ("simulate", "model"), ("residual", "model"), ("decompose", "model"),

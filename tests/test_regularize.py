@@ -216,7 +216,7 @@ class TestQvDecompose:
         law = DiscreteAtoms((1.0, -1.0), (0.5, 0.5))
         X = simulate_path(CompoundPoisson(3.0, law), grid, SeedSpec(19, 0))
         dec = qv_decompose(X, default_schedule(grid))
-        assert np.array_equal(dec.jump, X.squared_jump_trajectory())
+        assert np.array_equal(dec.jump, np.cumsum(X.jumps * X.jumps))
         assert np.max(np.abs(dec.continuous)) <= max(
             2 * dec.estimate.error_estimate, 1e-10
         )
