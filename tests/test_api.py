@@ -34,8 +34,9 @@ def _public_names():
 
 
 def test_package_publishes_exactly_the_modules_public_names():
-    declared = {entry: obj for _, entry, obj in _public_names()}
-    assert len(declared) == len(_public_names())  # no name is defined in two modules
+    names = _public_names()
+    declared = {entry: obj for _, entry, obj in names}
+    assert len(declared) == len(names)  # no name is defined in two modules
     published = {name: obj for name, obj in vars(dirichlet_reg).items()
                  if not name.startswith("_") and not inspect.ismodule(obj)}
     assert set(published) == set(declared)
@@ -61,9 +62,12 @@ def _unread(names):
     files = [f for d in ("src", "demos", "perfbench") for f in (ROOT / d).rglob("*.py")]
     read = set().union(*map(_names_read, files))
     readme = (ROOT / "README.md").read_text()
-    return [name for name in names
-            if name.rpartition(".")[2] not in read
-            and not re.search(rf"\b{re.escape(name.rpartition('.')[2])}\b", readme)]
+    unread = []
+    for name in names:
+        last = name.rpartition(".")[2]
+        if last not in read and not re.search(rf"\b{re.escape(last)}\b", readme):
+            unread.append(name)
+    return unread
 
 
 def test_every_public_name_has_a_reader_outside_the_tests():
