@@ -21,9 +21,11 @@ Exit codes: 0 pass, 2 configuration error, 3 estimator non-convergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -95,12 +97,26 @@ _DEFAULTS = {
     "tolerance": 0.05,
     "source": {"kind": "model"},
 }
-# defaults inside a section, resolved wherever the section is present
-_MODEL_DEFAULTS = {"brownian": {"sigma": 1.0}, "fbm": {"scale": 1.0}}
-_RECOVER_DEFAULTS = {"w": 2.0, "x_max": 4.0, "x_cells": 1024, "weight_guard": 1e-3}
+# the class each leaf model or law section builds, by its kind: the section's
+# other keys are the class's fields, its defaults the fields' defaults
+_KINDS = {
+    "brownian": BrownianMotion,
+    "fbm": FractionalBrownianMotion,
+    "compound_poisson": CompoundPoisson,
+    "levy_jump_diffusion": LevyJumpDiffusion,
+    "discrete": DiscreteAtoms,
+    "gaussian": GaussianJumps,
+    "uniform": UniformJumps,
+}
+# the ``recover`` section's keys beyond psi_csv, with their defaults
+_RECOVER_DEFAULTS = {key: p.default
+                     for key, p in inspect.signature(recover_triplet).parameters.items()
+                     if p.default is not p.empty}
 _HEAVISIDE_DEFAULTS = {"jump_time": 0.5, "jump_size": 1.0}
 # the residual test functions by their --function name and config key
 _TEST_FUNCTIONS = {"exptanh": exp_tanh, "dampedsine": damped_sine, "bump": bump}
+# the truncation functions by their config key
+_TRUNCATIONS = {"standard": standard_truncation, "smooth_clip": smooth_clip_truncation}
 # the largest Poisson mean numpy's Generator.poisson draws (its POISSON_LAM_MAX)
 _POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
@@ -179,27 +195,18 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> dict:
         cfg["recover"] = {**_RECOVER_DEFAULTS, **cfg["recover"]}
     if "sweep" in cfg:
         cfg["sweep"] = {"eps_multiples": cfg["eps_multiples"], **cfg["sweep"]}
-    if cfg["source"]["kind"] == "fixture" and cfg["source"].get("name") == "heaviside":
+    if cfg["source"].get("name") == "heaviside":
         cfg["source"] = {**_HEAVISIDE_DEFAULTS, **cfg["source"]}
     _validate(cfg, "resolved config")
     return cfg
 
 
 def _with_model_defaults(spec: dict) -> dict:
-    if spec["kind"] == "composite":
-        return dict(spec, components=[_with_model_defaults(c) for c in spec["components"]])
-    return {**_MODEL_DEFAULTS.get(spec["kind"], {}), **spec}
-
-
-def _build_law(spec: dict):
     kind = spec["kind"]
-    if kind == "discrete":
-        return DiscreteAtoms(tuple(spec["values"]), tuple(spec["probabilities"]))
-    if kind == "gaussian":
-        return GaussianJumps(spec["mean"], spec["sd"])
-    if kind == "uniform":
-        return UniformJumps(spec["a"], spec["b"])
-    raise ConfigError(f"unknown law kind {kind!r}")
+    if kind == "composite":
+        return dict(spec, components=[_with_model_defaults(c) for c in spec["components"]])
+    fields = dataclasses.fields(_KINDS[kind]) if kind in _KINDS else ()
+    return {**{f.name: f.default for f in fields if f.default is not dataclasses.MISSING}, **spec}
 
 
 def _build_model(cfg: dict, grids: list[TimeGrid]):
@@ -224,23 +231,16 @@ def _build_model(cfg: dict, grids: list[TimeGrid]):
 
 
 def _model_from_spec(spec: dict):
+    """The model or law of a section: a leaf's or law's keys are its class's
+    fields, a ``law`` key built by the same rule."""
     kind = spec["kind"]
-    if kind == "brownian":
-        return BrownianMotion(spec["sigma"])
-    if kind == "fbm":
-        return FractionalBrownianMotion(spec["hurst"], spec["scale"])
-    if kind == "compound_poisson":
-        return CompoundPoisson(spec["rate"], _build_law(spec["law"]))
-    if kind == "levy_jump_diffusion":
-        return LevyJumpDiffusion(
-            spec["drift"], spec["sigma"], spec["rate"], _build_law(spec["law"])
-        )
     if kind == "drift":
         coeffs = tuple(spec["coeffs"])
         return DeterministicDrift(lambda t, c=coeffs: np.polynomial.polynomial.polyval(t, c))
     if kind == "composite":
         return Composite(tuple(_model_from_spec(c) for c in spec["components"]))
-    raise ConfigError(f"unknown model kind {kind!r}")
+    return _KINDS[kind](**{key: _model_from_spec(value) if key == "law" else value
+                           for key, value in spec.items() if key != "kind"})
 
 
 def _build_grid(cfg: dict) -> TimeGrid:
@@ -259,42 +259,32 @@ def _schedule(multiples, grid: TimeGrid) -> EpsilonSchedule:
     return schedule
 
 
-def _truncation(cfg: dict):
-    return standard_truncation() if cfg["truncation"] == "standard" else smooth_clip_truncation()
-
-
 def _source_path(cfg: dict, grid: TimeGrid) -> CadlagPath:
     src = cfg["source"]
-    kind = src["kind"]
-    if kind == "model":
+    if src["kind"] == "model":
         if "model" not in cfg:
             raise ConfigError("source kind 'model' needs a model in the config")
         return simulate_path(_build_model(cfg, [grid]), grid, SeedSpec(cfg["seed"], 0))
-    if kind == "csv":
+    if src["kind"] == "csv":
         try:
             X = CadlagPath.from_csv(src["file"])
-        except (OSError, KeyError, IndexError, ValueError) as exc:
+        except (OSError, IndexError, ValueError) as exc:
             raise ConfigError(f"cannot load path csv: {exc}") from exc
         if X.grid != grid:
             raise ConfigError(f"path csv {src['file']} lies on {X.grid}, the config on {grid}")
         return X
-    if kind == "fixture":
-        name = src.get("name")
-        if name == "heaviside":
-            jt, js = src["jump_time"], src["jump_size"]
-            try:
-                i = grid.index_of(jt)
-                values = np.where(np.arange(grid.n_nodes) >= i, js, 0.0)
-                if js == 0:
-                    raise ValueError("jump_size must be nonzero")
-                return CadlagPath.from_jumps(grid, values, {i: js})
-            except ValueError as exc:
-                raise ConfigError(f"bad heaviside fixture: {exc}") from exc
-        if name == "white_noise":
-            rng = SeedSpec(cfg["seed"], 0).generator()
-            return CadlagPath(grid, rng.standard_normal(grid.n_nodes))
-        raise ConfigError(f"unknown fixture {name!r}")
-    raise ConfigError(f"unknown source kind {kind!r}")
+    if src["name"] == "heaviside":
+        jt, js = src["jump_time"], src["jump_size"]
+        try:
+            i = grid.index_of(jt)
+            values = np.where(np.arange(grid.n_nodes) >= i, js, 0.0)
+            if js == 0:
+                raise ValueError("jump_size must be nonzero")
+            return CadlagPath.from_jumps(grid, values, {i: js})
+        except ValueError as exc:
+            raise ConfigError(f"bad heaviside fixture: {exc}") from exc
+    rng = SeedSpec(cfg["seed"], 0).generator()  # white_noise
+    return CadlagPath(grid, rng.standard_normal(grid.n_nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +388,7 @@ def cmd_residual(cfg: dict):
         ens = residual_ensemble(
             model,
             grid,
-            _truncation(cfg),
+            _TRUNCATIONS[cfg["truncation"]](),
             _TEST_FUNCTIONS[cfg["function"]](),
             master_seed=cfg["seed"],
             n_paths=cfg["paths"],
@@ -420,7 +410,7 @@ def cmd_residual(cfg: dict):
 def cmd_decompose(cfg: dict):
     grid = _build_grid(cfg)
     model = _build_model(cfg, [grid])
-    k = _truncation(cfg)
+    k = _TRUNCATIONS[cfg["truncation"]]()
     schedule = _schedule(cfg["eps_multiples"], grid)
     X = simulate_path(model, grid, SeedSpec(cfg["seed"], 0))
     tol = cfg["tolerance"]
@@ -460,13 +450,7 @@ def cmd_recover(cfg: dict):
     except (OSError, ValueError, IndexError) as exc:
         raise ConfigError(f"cannot load exponent csv: {exc}") from exc
     try:
-        rec = recover_triplet(
-            grid,
-            w=rc["w"],
-            x_max=rc["x_max"],
-            x_cells=rc["x_cells"],
-            weight_guard=rc["weight_guard"],
-        )
+        rec = recover_triplet(grid, **{key: rc[key] for key in _RECOVER_DEFAULTS})
     except ValueError as exc:
         raise ConfigError(f"cannot recover from {rc['psi_csv']}: {exc}") from exc
     payload = {

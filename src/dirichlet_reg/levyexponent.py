@@ -79,6 +79,8 @@ class WeightedAtoms:
         ws = np.asarray(self.ws, dtype=np.float64)
         if xs.shape != ws.shape or xs.ndim != 1:
             raise ValueError("atom locations and weights must be 1-d and aligned")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ws))):
+            raise ValueError("atom locations and weights must be finite")
         if np.any(xs == 0.0):
             raise ValueError("atoms must avoid 0")
         object.__setattr__(self, "xs", xs)
@@ -181,6 +183,8 @@ class ExponentGrid:
         u = np.asarray(self.u, dtype=np.float64)
         psi = np.asarray(self.psi, dtype=np.complex128)
         _check_axis(u, psi, "u and psi", "u-grid")
+        if not np.all(np.isfinite(psi)):
+            raise ValueError("psi values must be finite")
         if abs(u[0] + u[-1]) > 1e-9 * abs(u[-1]):
             raise ValueError("u-grid must be symmetric about 0")
         zero = np.flatnonzero(u == 0.0)

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import warnings
 from importlib import resources
@@ -18,6 +20,7 @@ from dirichlet_reg import (
     TimeGrid,
     Triplet1D,
     WeightedAtoms,
+    recover_triplet,
     simulate_path,
     standard_truncation,
 )
@@ -49,6 +52,9 @@ def read_all_outputs(outdir, skip_manifest=True):
 
 
 class TestConfigHandling:
+    SCHEMA = json.loads(resources.files("dirichlet_reg").joinpath("config_schema.json")
+                        .read_text())
+
     def test_schema_violation_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "qv", {"grid": {"horizon": -1.0, "steps": 100}})
         assert code == 2
@@ -79,6 +85,25 @@ class TestConfigHandling:
                        for p in want.value.absolute_path).replace(".[", "[")
         where = f" at {key}" if key else ""
         assert str(got.value) == f"{stage} violates schema{where}: {want.value.message}"
+
+    @pytest.mark.parametrize("kind", sorted(cli._KINDS))
+    def test_model_and_law_keys_are_their_class_fields(self, kind):
+        # a section's keys are passed to its class by name, its defaults read from the class
+        defs = self.SCHEMA["definitions"]
+        branch = next(b["then"] for d in ("law", "leaf_model", "model") for b in defs[d]["allOf"]
+                      if b["if"]["properties"]["kind"].get("const") == kind)
+        fields = dataclasses.fields(cli._KINDS[kind])
+        assert set(branch["properties"]) - {"kind"} == {f.name for f in fields}
+        assert set(branch.get("required", ())) == {
+            f.name for f in fields if f.default is dataclasses.MISSING}
+
+    def test_recover_keys_are_the_recover_triplet_parameters(self):
+        # psi_csv holds the grid argument, the other keys are passed by name
+        section = self.SCHEMA["properties"]["recover"]
+        params = inspect.signature(recover_triplet).parameters
+        assert set(section["properties"]) - {"psi_csv"} == set(params) - {"grid"}
+        assert set(section["required"]) - {"psi_csv"} == {
+            key for key, p in params.items() if p.default is p.empty} - {"grid"}
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["qv", "--config", str(tmp_path / "nope.json")]) == 2
@@ -306,6 +331,34 @@ class TestBadInput:
         cfg = {"grid": {"horizon": horizon, "steps": 64}, "paths": 4, "eps_multiples": [1],
                "model": model}
         assert message in self.check_rejected(tmp_path, command, cfg, capsys)
+
+    @pytest.mark.parametrize("column,cell", [("re", "nan"), ("im", "inf")])
+    def test_non_finite_psi_csv_exits_2(self, tmp_path, capsys, column, cell):
+        # blamed on psi, not on the density recovered from it
+        tri = Triplet1D(0.1, 0.5, WeightedAtoms(np.array([0.5, -0.8]), np.array([1.0, 0.5])))
+        psi_csv = tmp_path / "psi.csv"
+        ExponentGrid.from_triplet(tri).to_csv(psi_csv)
+        header, *rows = psi_csv.read_text().splitlines()
+        cells = rows[100].split(",")
+        cells[header.split(",").index(column)] = cell
+        rows[100] = ",".join(cells)
+        psi_csv.write_text("\n".join([header, *rows]) + "\n")
+        cfg = {"grid": self.GRID, "recover": {"psi_csv": str(psi_csv)}}
+        err = self.check_rejected(tmp_path, "recover", cfg, capsys)
+        assert "cannot load exponent csv: psi values must be finite" in err
+
+    @pytest.mark.parametrize("source,message", [
+        ({"kind": "csv"}, "'file' is a required property"),
+        ({"kind": "fixture"}, "'name' is a required property"),
+        ({"kind": "fixture", "name": "white_noise", "jump_time": 0.3},
+         "Additional properties are not allowed ('jump_time' was unexpected)"),
+        ({"kind": "model", "file": "path.csv"},
+         "Additional properties are not allowed ('file' was unexpected)"),
+    ], ids=["csv_without_file", "fixture_without_name", "white_noise_jump_time", "model_file"])
+    def test_source_keys_are_checked_by_kind(self, tmp_path, capsys, source, message):
+        cfg = {"grid": self.GRID, "model": self.BM, "source": source}
+        err = self.check_rejected(tmp_path, "qv", cfg, capsys)
+        assert f"config violates schema at source: {message}" in err
 
     def test_empty_residual_times_exit_2(self, tmp_path, capsys):
         # no test time would be a vacuous pass
@@ -543,15 +596,17 @@ class TestResidual:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["function"] == "dampedsine"
 
-    def test_function_names_agree(self):
-        # the table, the --function choices, the schema enum and F.name
-        names = list(cli._TEST_FUNCTIONS)
-        action = next(a for a in cli.build_parser()._actions if a.dest == "function")
+    @pytest.mark.parametrize("key,table,flag", [("function", "_TEST_FUNCTIONS", True),
+                                                ("truncation", "_TRUNCATIONS", False)])
+    def test_table_names_agree(self, key, table, flag):
+        # the table, the --<key> choices if there is that flag, the schema enum and each name
+        names = list(getattr(cli, table))
+        choices = [list(a.choices) for a in cli.build_parser()._actions if a.dest == key]
         schema_file = resources.files("dirichlet_reg").joinpath("config_schema.json")
         schema = json.loads(schema_file.read_text())
-        assert list(action.choices) == names
-        assert schema["properties"]["function"]["enum"] == names
-        assert [make().name for make in cli._TEST_FUNCTIONS.values()] == names
+        assert choices == ([names] if flag else [])
+        assert schema["properties"][key]["enum"] == names
+        assert [make().name for make in getattr(cli, table).values()] == names
 
     def test_manifest_counts_no_nonconverged_forward_integral_for_brownian(self, tmp_path):
         code, out = run(tmp_path, "residual", dict(self.BASE, paths=200))

@@ -315,6 +315,14 @@ class TestGridValidationAndIo:
         with pytest.raises(ValueError):
             ExponentGrid(u, psi)
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_psi_rejected(self, cell):
+        u = ExponentGrid.symmetric_grid(5.0, 65)
+        psi = 0.5j * u - 0.5 * u**2
+        psi[10] = cell
+        with pytest.raises(ValueError, match="psi values must be finite"):
+            ExponentGrid(u, psi)
+
     def test_csv_round_trip(self, tmp_path):
         tri = Triplet1D(0.2, 0.4, gaussian_density_measure(n=801), STD)
         g = ExponentGrid.from_triplet(tri, u_max=12.0, m=512)
@@ -327,6 +335,13 @@ class TestGridValidationAndIo:
     def test_atoms_reject_origin(self):
         with pytest.raises(ValueError):
             WeightedAtoms(np.array([0.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize("xs,ws", [
+        ([0.5, np.nan], [1.0, 1.0]), ([np.inf], [1.0]), ([0.5], [-np.inf]), ([0.5], [np.nan]),
+    ])
+    def test_atoms_reject_non_finite_locations_and_weights(self, xs, ws):
+        with pytest.raises(ValueError, match="atom locations and weights must be finite"):
+            WeightedAtoms(np.array(xs), np.array(ws))
 
     def test_gridded_density_hole_has_no_mass(self):
         xs = ExponentGrid.symmetric_grid(4.0, 1025)
