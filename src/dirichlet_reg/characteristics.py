@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .paths import CadlagPath, PathBatch, TimeGrid
+from .paths import CadlagPath, TimeGrid
 from .regularize import (
     EpsilonSchedule,
     IdentityReport,
@@ -42,7 +42,7 @@ from .simulate import (
 
 
 __all__ = [
-    "TruncationFunction",
+    "Truncation",
     "standard_truncation",
     "smooth_clip_truncation",
     "CharacteristicsModel",
@@ -70,28 +70,20 @@ def _centered(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return profile
 
 
-@dataclass(frozen=True)
-class TruncationFunction:
-    """Bounded k with k(x) = x near 0 and |k| <= bound."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    bound: float
-    name: str
-
-    def __call__(self, x):
-        return self.fn(np.asarray(x, dtype=np.float64))
+# A truncation function: a bounded k with k(x) = x near 0, applied to float arrays.
+Truncation = Callable[[np.ndarray], np.ndarray]
 
 
-def standard_truncation() -> TruncationFunction:
+def standard_truncation() -> Truncation:
     """k(x) = x on |x| <= 1, zero beyond (discontinuous at |x| = 1)."""
 
     def fn(x):
         return np.where(np.abs(x) <= 1.0, x, 0.0)
 
-    return TruncationFunction(fn=fn, bound=1.0, name="standard")
+    return fn
 
 
-def smooth_clip_truncation() -> TruncationFunction:
+def smooth_clip_truncation() -> Truncation:
     """Odd C^2 clip: identity on |x| <= 0.5, constant +-1 beyond |x| >= 1.5.
 
     The blend on [0.5, 1.5] is the unique quintic matching value, slope and
@@ -105,7 +97,7 @@ def smooth_clip_truncation() -> TruncationFunction:
         out = np.where(a <= 0.5, a, np.where(a >= 1.5, 1.0, blend))
         return np.sign(x) * out
 
-    return TruncationFunction(fn=fn, bound=1.0, name="smooth_clip")
+    return fn
 
 
 @dataclass(frozen=True)
@@ -119,7 +111,7 @@ class CharacteristicsModel:
     ``compensators`` lists (rate, law) pairs with nu(dt, dx) = rate dt law(dx).
     """
 
-    truncation: TruncationFunction
+    truncation: Truncation
     drift_slope: float = 0.0
     drift_profile: Callable[[np.ndarray], np.ndarray] | None = None
     drift_path_fn: Callable[[CadlagPath], np.ndarray] | None = None
@@ -136,13 +128,13 @@ class CharacteristicsModel:
     def compensator_k_rate(self) -> float:
         """Total rate of k-truncated jump compensation, sum of rate*E[k(J)]."""
         return sum(
-            rate * law_expectation(law, self.truncation.fn)
+            rate * law_expectation(law, self.truncation)
             for rate, law in self.compensators
         )
 
-    def bk_values(self, path: CadlagPath | PathBatch) -> np.ndarray:
+    def bk_values(self, path: CadlagPath) -> np.ndarray:
         """Drift characteristic sampled along the path's grid: one row per path
-        of a batch when it is path dependent, else one row for all."""
+        of a stack when it is path dependent, else one row for all."""
         times = path.grid.times()
         out = self.drift_slope * times
         if self.drift_profile is not None:
@@ -152,8 +144,8 @@ class CharacteristicsModel:
         return out
 
 
-def _fbm_sum_fn(names: Sequence[str]) -> Callable[[CadlagPath | PathBatch], np.ndarray]:
-    def path_fn(path: CadlagPath | PathBatch) -> np.ndarray:
+def _fbm_sum_fn(names: Sequence[str]) -> Callable[[CadlagPath], np.ndarray]:
+    def path_fn(path: CadlagPath) -> np.ndarray:
         if path.components is None:
             raise ComponentLogError(
                 "path-dependent drift characteristic needs component logs; "
@@ -170,7 +162,7 @@ def _fbm_sum_fn(names: Sequence[str]) -> Callable[[CadlagPath | PathBatch], np.n
     return path_fn
 
 
-def known_characteristics(model: ModelSpec, k: TruncationFunction) -> CharacteristicsModel:
+def known_characteristics(model: ModelSpec, k: Truncation) -> CharacteristicsModel:
     """Closed-form triplet of a simulatable model under truncation k.
 
     For Levy-type models the drift characteristic is (trend + rate*E[k(J)])*t;
@@ -193,7 +185,7 @@ def known_characteristics(model: ModelSpec, k: TruncationFunction) -> Characteri
         elif isinstance(comp, FractionalBrownianMotion):
             fbm_names.append(_component_name(comp, taken))
         elif isinstance(comp, (CompoundPoisson, LevyJumpDiffusion)):
-            term = comp.rate * law_expectation(comp.law, k.fn)
+            term = comp.rate * law_expectation(comp.law, k)
             if isinstance(comp, LevyJumpDiffusion):
                 term = comp.drift + term
                 c_rate += comp.sigma**2
@@ -222,8 +214,8 @@ def known_characteristics(model: ModelSpec, k: TruncationFunction) -> Characteri
 
 def convert_truncation(
     model: ModelSpec | CharacteristicsModel,
-    k: TruncationFunction,
-    k_new: TruncationFunction,
+    k: Truncation,
+    k_new: Truncation,
 ) -> CharacteristicsModel:
     """Re-express the triplet under another truncation.
 
@@ -232,13 +224,13 @@ def convert_truncation(
     """
     chars = _as_chars(model, k)
     shift = sum(
-        rate * (law_expectation(law, k_new.fn) - law_expectation(law, k.fn))
+        rate * (law_expectation(law, k_new) - law_expectation(law, k))
         for rate, law in chars.compensators
     )
     return replace(chars, truncation=k_new, drift_slope=chars.drift_slope + shift)
 
 
-def _as_chars(model, k: TruncationFunction) -> CharacteristicsModel:
+def _as_chars(model, k: Truncation) -> CharacteristicsModel:
     if isinstance(model, CharacteristicsModel):
         return model
     return known_characteristics(model, k)
@@ -256,7 +248,7 @@ class Decomposition:
 
 
 def decompose(
-    X: CadlagPath, model: ModelSpec | CharacteristicsModel, k: TruncationFunction
+    X: CadlagPath, model: ModelSpec | CharacteristicsModel, k: Truncation
 ) -> Decomposition:
     """Split X into continuous, compensated-jump, drift and large-jump parts.
 
@@ -323,7 +315,7 @@ def drift_bracket_check(
     X: CadlagPath,
     decomposition: Decomposition,
     model: ModelSpec | CharacteristicsModel,
-    k: TruncationFunction,
+    k: Truncation,
     schedule: EpsilonSchedule,
 ) -> IdentityReport:
     """Checks [drift, drift] = [X, X]^c - [X^c, X^c] in sup norm; ``model``

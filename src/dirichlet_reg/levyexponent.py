@@ -27,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .characteristics import TruncationFunction, standard_truncation
+from .characteristics import Truncation, standard_truncation
 from .paths import _read_csv, _write_csv
 
 __all__ = [
@@ -137,7 +137,7 @@ class Triplet1D:
     b: float
     c: float
     lam: LevyMeasure1D | None
-    truncation: TruncationFunction = field(default_factory=standard_truncation)
+    truncation: Truncation = field(default_factory=standard_truncation)
 
 
 def _mirror_start(u: np.ndarray) -> int:
@@ -261,7 +261,7 @@ class RecoveredTriplet:
     lam: GriddedDensity
     recovered_mask: np.ndarray
     residual_sup: float
-    truncation: TruncationFunction
+    truncation: Truncation
     diagnostics: dict = field(default_factory=dict)
 
     @property

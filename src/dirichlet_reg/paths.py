@@ -1,4 +1,5 @@
-"""Cadlag trajectories sampled on a uniform grid, with the jump at every node.
+"""Cadlag trajectories sampled on a uniform grid, with the jump at every node,
+one path at a time or as a stack of paths on one grid.
 
 The storage convention is right-continuous: ``values[i]`` is the value at
 ``t_i`` *including* the jump ``jumps[i]`` at ``t_i``, so left limits are
@@ -18,7 +19,6 @@ __all__ = [
     "GridMismatchError",
     "TimeGrid",
     "CadlagPath",
-    "PathBatch",
     "star_integral",
     "combine",
 ]
@@ -40,10 +40,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"horizon must be positive, got T={self.T}")
-        if self.n_steps < 1:
-            raise ValueError(f"need at least one step, got {self.n_steps}")
+        if not (self.T > 0 and np.isfinite(self.T)):
+            raise ValueError(f"horizon must be positive and finite, got T={self.T}")
+        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
+            raise ValueError(f"n_steps must be an integer of at least 1, got {self.n_steps!r}")
 
     @property
     def dt(self) -> float:
@@ -69,14 +69,24 @@ class TimeGrid:
         return i
 
 
+def _no_jumps(shape: tuple[int, ...]) -> np.ndarray:
+    """Zeros of ``shape`` as a read-only zero-stride array, built directly:
+    np.broadcast_to costs more than the rest of the set-up of a short path."""
+    zeros = np.ndarray(shape, np.float64, np.zeros(1), 0, (0,) * len(shape))
+    zeros.flags.writeable = False
+    return zeros
+
+
 @dataclass(frozen=True)
 class CadlagPath:
-    """Sampled cadlag trajectory with its jump at every node.
+    """Sampled cadlag trajectory with its jump at every node: one path as
+    ``(n+1,)`` arrays, or a stack of B paths on one grid as ``(B, n+1)`` rows.
 
-    ``jumps[i]`` is ``X_{t_i} - X_{t_i-}``, +0.0 (never -0.0) where the path
-    does not jump and always at node 0.  Without ``jumps`` the path is
+    ``jumps[..., i]`` is ``X_{t_i} - X_{t_i-}``, +0.0 (never -0.0) where the
+    path does not jump and always at node 0.  Without ``jumps`` the path is
     continuous, and ``jumps`` is a read-only zero-stride view (no row is
-    allocated).
+    allocated).  ``components`` maps each model component's name to its own
+    path, or stack, as the simulators attach them.
     """
 
     grid: TimeGrid
@@ -85,13 +95,14 @@ class CadlagPath:
     components: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        shape = (self.grid.n_nodes,)
         values = np.asarray(self.values, dtype=np.float64)
-        jumps = (np.broadcast_to(np.float64(0.0), shape) if self.jumps is None
+        jumps = (_no_jumps(values.shape) if self.jumps is None
                  else np.asarray(self.jumps, dtype=np.float64))
+        n = self.grid.n_nodes
+        if values.ndim not in (1, 2) or values.shape[-1] != n or jumps.shape != values.shape:
+            raise ValueError(f"values and jumps must have one shape, ({n},) or (B, {n}); "
+                             f"got {values.shape} and {jumps.shape}")
         for name, arr in (("values", values), ("jumps", jumps)):
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -114,7 +125,10 @@ class CadlagPath:
 
     @property
     def jump_indices(self) -> np.ndarray:
-        """Nodes where the path jumps, in increasing order."""
+        """Nodes where the path jumps, in increasing order; one path only, as
+        the flat indices of a stack would name no node."""
+        if self.jumps.ndim != 1:
+            raise ValueError("jump_indices needs one path; take path(j) of a stack")
         return np.flatnonzero(self.jumps)
 
     @property
@@ -125,6 +139,13 @@ class CadlagPath:
     def left_values(self) -> np.ndarray:
         """Left limits X_{t_i-} at every node (X_{0-} := X_0)."""
         return self.values - self.jumps
+
+    def path(self, j: int) -> "CadlagPath":
+        """Path j of a stack, with its components."""
+        parts = None if self.components is None else {
+            name: part.path(j) for name, part in self.components.items()
+        }
+        return CadlagPath(self.grid, self.values[j], self.jumps[j], parts)
 
     def eval(self, t: float, side: str = "right") -> float:
         """Value at grid time ``t``; ``side='left'`` gives the left limit."""
@@ -166,32 +187,6 @@ class CadlagPath:
             raise ValueError("jump indices must lie in (0, n_steps]")
         jumps += 0.0  # a "-0" jump is no jump
         return cls(grid, values, jumps)
-
-
-@dataclass(frozen=True)
-class PathBatch:
-    """``B`` sampled cadlag paths on one grid as ``(B, n+1)`` rows.
-
-    ``values[j]`` holds path j's right values and ``jumps[j, i]`` its jump at
-    node i, zero where it has none.  ``components`` maps each component name
-    to its own batch.  Rows that carry no data may be read-only broadcast views.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-    jumps: np.ndarray
-    components: dict | None = None
-
-    def left_values(self) -> np.ndarray:
-        """Left limits at every node, one row per path."""
-        return self.values - self.jumps
-
-    def path(self, j: int) -> CadlagPath:
-        """Row j as a ``CadlagPath``, with its components."""
-        parts = None if self.components is None else {
-            name: part.path(j) for name, part in self.components.items()
-        }
-        return CadlagPath(self.grid, self.values[j], self.jumps[j], parts)
 
 
 def _format(values) -> np.ndarray:

@@ -32,11 +32,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .characteristics import (
-    CharacteristicsModel,
-    TruncationFunction,
-    _as_chars,
-)
+from .characteristics import CharacteristicsModel, Truncation, _as_chars
 from .paths import CadlagPath, TimeGrid
 from .regularize import (
     EpsilonSchedule,
@@ -91,7 +87,6 @@ class TestFunction:
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jet: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]]
-    bound: float
     name: str
 
 
@@ -106,7 +101,7 @@ def exp_tanh() -> TestFunction:
         f, sech2 = e * th, 1.0 - th**2
         return f, -f, e * sech2, -2.0 * e * th * sech2
 
-    return TestFunction(f, jet, bound=1.0, name="exptanh")
+    return TestFunction(f, jet, name="exptanh")
 
 
 def damped_sine() -> TestFunction:
@@ -120,7 +115,7 @@ def damped_sine() -> TestFunction:
         f = e * np.sin(x)
         return f, -f, e * np.cos(x), -f
 
-    return TestFunction(f, jet, bound=1.0, name="dampedsine")
+    return TestFunction(f, jet, name="dampedsine")
 
 
 def bump() -> TestFunction:
@@ -139,7 +134,7 @@ def bump() -> TestFunction:
                 np.where(inside, -(6.0 * x / a**2) * v**2, 0.0),
                 np.where(inside, (6.0 / a**2) * v * (5.0 * u - 1.0), 0.0))
 
-    return TestFunction(f, jet, bound=1.0, name="bump")
+    return TestFunction(f, jet, name="bump")
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +217,7 @@ def _residual_blocks(
     times = grid.times()[None]
     dt = grid.dt
     c_inc = np.diff(chars.c_values(grid))
-    laws = [(rate, *law.quadrature(), law_expectation(law, chars.truncation.fn))
+    laws = [(rate, *law.quadrature(), law_expectation(law, chars.truncation))
             for rate, law in chars.compensators if rate != 0.0]
     if chars.drift_path_fn is not None:
         finest = (schedule or default_schedule(grid)).multiples[-3:]
@@ -276,7 +271,7 @@ def _path_residual(
 def weak_dirichlet_residual(
     X: CadlagPath,
     model: ModelSpec | CharacteristicsModel,
-    k: TruncationFunction,
+    k: Truncation,
     F: TestFunction,
     schedule: EpsilonSchedule | None = None,
 ) -> ResidualPath:
@@ -296,7 +291,7 @@ def weak_dirichlet_residual(
 def semimartingale_residual(
     X: CadlagPath,
     model: ModelSpec | CharacteristicsModel,
-    k: TruncationFunction,
+    k: Truncation,
     F: TestFunction,
 ) -> ResidualPath:
     """Classical expansion residual: finite-variation drift characteristic,
@@ -334,7 +329,7 @@ def _probe_plan(times: Sequence[float]) -> tuple[tuple[float, ...], dict[float, 
 def residual_ensemble(
     model: ModelSpec,
     grid: TimeGrid,
-    k: TruncationFunction,
+    k: Truncation,
     F: TestFunction,
     master_seed: int,
     n_paths: int,
@@ -518,7 +513,7 @@ def martingale_mean_test(residuals: ResidualEnsemble, alpha_se: float = 3.0) -> 
 def drift_orthogonality_probe(
     X: CadlagPath,
     model: ModelSpec | CharacteristicsModel,
-    k: TruncationFunction,
+    k: Truncation,
     F: TestFunction,
     schedule: EpsilonSchedule,
 ) -> list[IdentityReport]:

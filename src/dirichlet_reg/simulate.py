@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .paths import CadlagPath, PathBatch, TimeGrid
+from .paths import CadlagPath, TimeGrid
 
 __all__ = [
     "DiscreteAtoms",
@@ -65,6 +65,20 @@ def _gauss_rule(rule: Callable) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _check_parameter(name: str, value: float, nonnegative: bool = True,
+                     squared: bool = False) -> None:
+    """A model or law parameter is a finite float, nonnegative unless told
+    otherwise.  ``squared`` marks a diffusion coefficient, whose square (the
+    rate of the continuous bracket) must be a finite float too."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if nonnegative and value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    if squared and not math.isfinite(value * value):
+        raise ValueError(f"{name} = {value!r} has a square beyond the float range")
+
+
 @dataclass(frozen=True)
 class DiscreteAtoms:
     values: tuple[float, ...]
@@ -75,8 +89,11 @@ class DiscreteAtoms:
         p = tuple(float(x) for x in self.probabilities)
         if len(v) != len(p) or not v:
             raise ValueError("values and probabilities must align and be nonempty")
-        if any(x < 0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
+        for x, w in zip(v, p):
+            _check_parameter("values", x, nonnegative=False)
+            _check_parameter("probabilities", w)
+        if abs(sum(p) - 1.0) > 1e-12:
+            raise ValueError("probabilities must sum to 1")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probabilities", p)
 
@@ -93,8 +110,8 @@ class GaussianJumps:
     sd: float
 
     def __post_init__(self):
-        if self.sd < 0:
-            raise ValueError("sd must be nonnegative")
+        _check_parameter("mean", self.mean, nonnegative=False)
+        _check_parameter("sd", self.sd)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.normal(self.mean, self.sd, size)
@@ -139,21 +156,12 @@ def law_expectation(law: JumpLaw, f: Callable[[np.ndarray], np.ndarray]) -> floa
 # Model families
 # ---------------------------------------------------------------------------
 
-def _check_diffusion(name: str, value: float) -> None:
-    """A diffusion coefficient is nonnegative, and its square (the rate of
-    the continuous bracket) is a finite float."""
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative")
-    if not math.isfinite(float(value) * float(value)):
-        raise ValueError(f"{name} = {value!r} has a square beyond the float range")
-
-
 @dataclass(frozen=True)
 class BrownianMotion:
     sigma: float = 1.0
 
     def __post_init__(self):
-        _check_diffusion("sigma", self.sigma)
+        _check_parameter("sigma", self.sigma, squared=True)
 
 
 @dataclass(frozen=True)
@@ -164,7 +172,7 @@ class FractionalBrownianMotion:
     def __post_init__(self):
         if not (0.5 < self.hurst < 1.0):
             raise ValueError(f"hurst must lie in (0.5, 1), got {self.hurst}")
-        _check_diffusion("scale", self.scale)
+        _check_parameter("scale", self.scale, squared=True)
 
 
 @dataclass(frozen=True)
@@ -173,8 +181,7 @@ class CompoundPoisson:
     law: JumpLaw
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("rate must be nonnegative")
+        _check_parameter("rate", self.rate)
 
 
 @dataclass(frozen=True)
@@ -192,9 +199,9 @@ class LevyJumpDiffusion:
     law: JumpLaw
 
     def __post_init__(self):
-        _check_diffusion("sigma", self.sigma)
-        if self.rate < 0:
-            raise ValueError("rate must be nonnegative")
+        _check_parameter("drift", self.drift, nonnegative=False)
+        _check_parameter("sigma", self.sigma, squared=True)
+        _check_parameter("rate", self.rate)
 
 
 @dataclass(frozen=True)
@@ -389,27 +396,25 @@ class _Substreams:
         return self._rng
 
 
-def simulate_batch(model: ModelSpec, grid: TimeGrid, master_seed: int, indices) -> PathBatch:
-    """Paths ``indices`` of the ``master_seed`` ensemble as ``(B, n+1)`` rows;
-    row j draws from the ``SeedSpec(master_seed, indices[j])`` substreams only.
+def simulate_batch(model: ModelSpec, grid: TimeGrid, master_seed: int, indices) -> CadlagPath:
+    """Paths ``indices`` of the ``master_seed`` ensemble as a ``(B, n+1)``
+    stack; row j draws from the ``SeedSpec(master_seed, indices[j])``
+    substreams only.
 
-    ``components`` holds one batch per model component (drift, diffusion,
+    ``components`` holds one stack per model component (drift, diffusion,
     fractional and jump parts), which the characteristics decomposition reads.
     """
     indices = [int(i) for i in indices]
     streams = _Substreams(master_seed)
     shape = (len(indices), grid.n_nodes)
-    # a read-only zero-stride view, built directly: np.broadcast_to costs more
-    # than the rest of the set-up of a batch of one
-    no_jumps = np.ndarray(shape, np.float64, np.zeros(1), 0, (0, 0))
-    no_jumps.flags.writeable = False
     values = np.zeros(shape)
-    parts: dict[str, PathBatch] = {}
+    parts: dict[str, CadlagPath] = {}
+    jump_parts: list[np.ndarray] = []
     taken: set[str] = set()
     stream = 0
     for comp in _component_list(model):
         name = _component_name(comp, taken)
-        part_jumps = no_jumps
+        part_jumps = None
         if isinstance(comp, DeterministicDrift):
             v = np.asarray(comp.f(grid.times()), dtype=np.float64)
             if v.shape != (grid.n_nodes,):
@@ -426,13 +431,13 @@ def simulate_batch(model: ModelSpec, grid: TimeGrid, master_seed: int, indices) 
                 part_jumps = np.zeros(shape)
                 _compound_poisson(grid, comp.rate, comp.law, rows, part_values,
                                   part_jumps)
+                jump_parts.append(part_jumps)
             stream += 1
-        parts[name] = PathBatch(grid, part_values, part_jumps)
+        parts[name] = CadlagPath(grid, part_values, part_jumps)
         values += part_values
     # 0 + x is x for every jump (never -0.0), so a lone jump part is shared
-    cp_jumps = [p.jumps for p in parts.values() if p.jumps is not no_jumps]
-    jumps = sum(cp_jumps[1:], cp_jumps[0]) if cp_jumps else no_jumps
-    return PathBatch(grid, values, jumps, parts)
+    jumps = sum(jump_parts[1:], jump_parts[0]) if jump_parts else None
+    return CadlagPath(grid, values, jumps, parts)
 
 
 def simulate_path(model: ModelSpec, grid: TimeGrid, seed: SeedSpec) -> CadlagPath:

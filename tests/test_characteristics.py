@@ -16,7 +16,6 @@ from dirichlet_reg import (
     LevyJumpDiffusion,
     SeedSpec,
     TimeGrid,
-    TruncationFunction,
     UniformJumps,
     combine,
     continuous_bracket_check,
@@ -39,7 +38,7 @@ class TestTruncations:
     @pytest.mark.parametrize("k", [STD, SMOOTH], ids=["standard", "smooth"])
     def test_bounded_on_probe_grid(self, k):
         x = np.linspace(-100.0, 100.0, 10_000)
-        assert np.max(np.abs(k(x))) <= k.bound + 1e-12
+        assert np.max(np.abs(k(x))) <= 1.0 + 1e-12
 
     def test_standard_identity_inside_radius_exact(self):
         x = np.linspace(-1.0, 1.0, 2001)
@@ -133,7 +132,7 @@ class TestDecompose:
     def test_truncation_of_negative_zero_registers_no_jump(self):
         # k(x) = -0.0 beyond the cutoff: the small-jump part has no jump there
         grid = TimeGrid(1.0, 100)
-        k = TruncationFunction(lambda x: np.where(np.abs(x) <= 1.0, x, -0.0 * x), 1.0, "neg")
+        k = lambda x: np.where(np.abs(x) <= 1.0, x, -0.0 * x)
         values = np.where(np.arange(grid.n_nodes) >= 40, 2.0, 0.0)
         X = CadlagPath.from_jumps(grid, values, {40: 2.0})
         dec = decompose(X, CharacteristicsModel(truncation=k), k)

@@ -59,7 +59,8 @@ U_GRIDS = {
 
 class TestExponentEval:
     @pytest.mark.parametrize("grid", sorted(U_GRIDS))
-    @pytest.mark.parametrize("truncation", [STD, smooth_clip_truncation()], ids=lambda k: k.name)
+    @pytest.mark.parametrize("truncation", [STD, smooth_clip_truncation()],
+                             ids=["standard", "smooth_clip"])
     @pytest.mark.parametrize("measure", sorted(MEASURES))
     def test_bits_equal_the_per_u_loop(self, measure, truncation, grid):
         tri = Triplet1D(-0.3, -0.4, MEASURES[measure], truncation)

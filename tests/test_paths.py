@@ -27,6 +27,17 @@ def grid():
     return TimeGrid(1.0, 100)
 
 
+class TestTimeGrid:
+    @pytest.mark.parametrize("T, n_steps, field", [(np.inf, 4, "horizon"),
+                                                   (1.0, 2.5, "n_steps")])
+    def test_rejects_an_infinite_horizon_and_fractional_steps(self, T, n_steps, field):
+        with pytest.raises(ValueError, match=field):
+            TimeGrid(T, n_steps)
+
+    def test_accepts_numpy_integer_steps(self):
+        assert TimeGrid(1.0, np.int64(4)).times().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
 class TestEval:
     def test_heaviside_left_limit_before_jump(self, grid):
         assert heaviside(grid).eval(0.5, "left") == 0.0
@@ -105,6 +116,43 @@ class TestJumpRegistry:
         assert observed == {
             int(i): pytest.approx(s) for i, s in zip(p.jump_indices, p.jump_sizes)
         }
+
+
+class TestStack:
+    def test_accepts_rows_on_the_grid(self, grid):
+        values = np.arange(3.0 * grid.n_nodes).reshape(3, grid.n_nodes)
+        stack = CadlagPath(grid, values)
+        assert stack.values.shape == stack.jumps.shape == (3, grid.n_nodes)
+        # no jumps: read-only zeros with no allocated row
+        assert not stack.jumps.any() and stack.jumps.strides == (0, 0)
+        assert not stack.values.flags.writeable and not stack.jumps.flags.writeable
+        assert np.array_equal(stack.left_values(), values)
+        row = stack.path(1)
+        assert row.values.tobytes() == values[1].tobytes()
+        assert row.jumps.tobytes() == np.zeros(grid.n_nodes).tobytes()
+
+    @pytest.mark.parametrize("values, jumps", [
+        (np.zeros((3, 100)), None),                 # (B, n)
+        (np.zeros((2, 3, 101)), None),              # 3-d
+        (np.zeros((3, 101)), np.zeros(101)),        # one jump row for three paths
+        (np.zeros((3, 101)), np.zeros((2, 101))),
+        (np.zeros(101), np.zeros((1, 101))),
+    ], ids=["short_rows", "3d", "jump_row", "jump_rows", "stacked_jumps"])
+    def test_rejects_shapes_off_the_grid_or_unmatched(self, grid, values, jumps):
+        with pytest.raises(ValueError, match="must have one shape"):
+            CadlagPath(grid, values, jumps)
+
+    def test_jump_indices_of_a_stack_raise(self, grid):
+        jumps = np.zeros((2, grid.n_nodes))
+        jumps[1, 40] = 1.0
+        stack = CadlagPath(grid, np.cumsum(jumps, axis=1), jumps)
+        # np.flatnonzero would give the flat index 141 of no node
+        for read in (lambda: stack.jump_indices, lambda: stack.jump_sizes,
+                     lambda: stack.map(np.sin),
+                     lambda: star_integral(lambda s, x, xl: x, stack, 1.0)):
+            with pytest.raises(ValueError, match="one path"):
+                read()
+        assert stack.path(1).jump_indices.tolist() == [40]
 
 
 def _looped_star_integral(h, X, t):

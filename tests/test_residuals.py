@@ -94,7 +94,7 @@ class TestTestFunctions:
     @pytest.mark.parametrize("F", ALL_FUNCTIONS, ids=lambda F: F.name)
     def test_bounded(self, F):
         T, X = np.meshgrid(np.linspace(0, 5, 11), np.linspace(-50, 50, 2001))
-        assert np.max(np.abs(F.f(T, X))) <= F.bound + 1e-12
+        assert np.max(np.abs(F.f(T, X))) <= 1.0 + 1e-12
 
 
 class TestResidualConstruction:
@@ -165,7 +165,7 @@ class TestResidualConstruction:
         C = TestFunction(
             f=lambda t, x: a * F.f(t, x) + b * G.f(t, x),
             jet=lambda t, x: tuple(a * p + b * q for p, q in zip(F.jet(t, x), G.jet(t, x))),
-            bound=abs(a) * F.bound + abs(b) * G.bound, name="combined",
+            name="combined",
         )
         rC = weak_dirichlet_residual(X, model, STD, C)
         assert np.max(np.abs(rC.values - (a * rF.values + b * rG.values))) <= 1e-12
@@ -186,8 +186,7 @@ class TestResidualConstruction:
             th = np.tanh(x) + 0.0 * t
             return th, np.zeros_like(th), 1 - th**2, -2 * th * (1 - th**2)
 
-        th = TestFunction(f=lambda t, x: np.tanh(x) + 0.0 * t, jet=tanh_jet, bound=1.0,
-                          name="tanh")
+        th = TestFunction(f=lambda t, x: np.tanh(x) + 0.0 * t, jet=tanh_jet, name="tanh")
         r = form(X, model, STD, th)
         left = X.left_values()
         comp = np.zeros(grid.n_nodes)

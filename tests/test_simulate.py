@@ -16,12 +16,15 @@ from dirichlet_reg import (
     SeedSpec,
     TimeGrid,
     UniformJumps,
+    decompose,
     law_expectation,
     simulate_batch,
     simulate_path,
+    standard_truncation,
 )
 from dirichlet_reg.simulate import _QUAD_NODES, _circulant_root, _gauss_rule, _Substreams
 
+LAW = GaussianJumps(0.0, 1.0)
 FAMILIES = {
     "brownian": BrownianMotion(1.0),
     "fbm": FractionalBrownianMotion(0.7, 0.5),
@@ -71,6 +74,23 @@ class TestValidation:
     def test_fgn_capacity_guard(self):
         with pytest.raises(MemoryError):
             _circulant_root((1 << 23) + 1, 0.7)
+
+    @pytest.mark.parametrize("make, field", [
+        pytest.param(lambda: CompoundPoisson(np.nan, LAW), "rate", id="cp_rate_nan"),
+        pytest.param(lambda: CompoundPoisson(np.inf, LAW), "rate", id="cp_rate_inf"),
+        pytest.param(lambda: LevyJumpDiffusion(0.0, 1.0, np.nan, LAW), "rate", id="ljd_rate_nan"),
+        pytest.param(lambda: LevyJumpDiffusion(np.nan, 1.0, 1.0, LAW), "drift",
+                     id="ljd_drift_nan"),
+        pytest.param(lambda: GaussianJumps(0.0, np.nan), "sd", id="gauss_sd_nan"),
+        pytest.param(lambda: GaussianJumps(np.inf, 1.0), "mean", id="gauss_mean_inf"),
+        pytest.param(lambda: DiscreteAtoms((np.nan,), (1.0,)), "values", id="atom_value_nan"),
+        pytest.param(lambda: DiscreteAtoms((np.inf,), (1.0,)), "values", id="atom_value_inf"),
+        pytest.param(lambda: DiscreteAtoms((1.0,), (np.nan,)), "probabilities",
+                     id="atom_probability_nan"),
+    ])
+    def test_non_finite_parameter_is_rejected_by_name(self, make, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            make()
 
 
 class TestDeterminism:
@@ -222,6 +242,26 @@ class TestBatch:
         for i, row in enumerate(batch.values):
             want = reference_fbm_values(grid, 0.7, 0.5, SeedSpec(4, i).generator(0))
             assert row.tobytes() == want.tobytes()
+
+    def test_path_of_a_stack_carries_each_component_row(self):
+        grid = TimeGrid(1.0, 32)
+        batch = simulate_batch(FAMILIES["composite"], grid, 9, range(5))
+        assert batch.values.shape == (5, grid.n_nodes)
+        for j in range(5):
+            got = batch.path(j)
+            assert list(got.components) == list(batch.components) == ["bm", "fbm", "cp", "cp2"]
+            pairs = [(got, batch)] + [(got.components[name], part)
+                                      for name, part in batch.components.items()]
+            for row, stack in pairs:
+                assert row.values.tobytes() == stack.values[j].tobytes()
+                assert row.jumps.tobytes() == stack.jumps[j].tobytes()
+
+    def test_jump_indices_of_a_stack_raise(self):
+        batch = simulate_batch(FAMILIES["compound_poisson"], TimeGrid(1.0, 32), 3, range(4))
+        with pytest.raises(ValueError, match="one path"):
+            batch.jump_indices
+        with pytest.raises(ValueError, match="one path"):
+            decompose(batch, FAMILIES["compound_poisson"], standard_truncation())
 
     def test_circulant_root_is_read_only(self):
         root = _circulant_root(64, 0.7)
