@@ -284,30 +284,20 @@ def decompose(
     )
 
 
-def _decomposition_brackets(X, decomposition, schedule):
-    """[X, X], [X^c, X^c] and [drift, drift], each estimated once; both
-    bracket identities of a decomposition are read off these three."""
+def _bracket_reports(X, decomposition, schedule) -> tuple[IdentityReport, IdentityReport]:
+    """The drift-bracket identity's report and the continuous split's, both
+    read off [X, X], [X^c, X^c] and [drift, drift], each estimated once."""
     xc = decomposition.continuous
+    qv_x = qv_decompose(X, schedule)
+    qv_xc = covariation_limit(xc, xc, schedule)
+    qv_bk = qv_decompose(decomposition.drift, schedule)
     return (
-        qv_decompose(X, schedule),
-        covariation_limit(xc, xc, schedule),
-        qv_decompose(decomposition.drift, schedule),
-    )
-
-
-def _drift_bracket_report(brackets) -> IdentityReport:
-    qv_x, qv_xc, qv_bk = brackets
-    return _identity_report(
-        "drift bracket identity", qv_bk.estimate.limit, qv_x.continuous - qv_xc.limit,
-        (qv_bk.estimate, qv_x.estimate, qv_xc),
-    )
-
-
-def _continuous_bracket_report(brackets) -> IdentityReport:
-    qv_x, qv_xc, qv_bk = brackets
-    return _identity_report(
-        "continuous bracket split", qv_x.continuous, qv_xc.limit + qv_bk.continuous,
-        (qv_x.estimate, qv_xc, qv_bk.estimate),
+        _identity_report("drift bracket identity", qv_bk.estimate.limit,
+                         qv_x.continuous - qv_xc.limit,
+                         (qv_bk.estimate, qv_x.estimate, qv_xc)),
+        _identity_report("continuous bracket split", qv_x.continuous,
+                         qv_xc.limit + qv_bk.continuous,
+                         (qv_x.estimate, qv_xc, qv_bk.estimate)),
     )
 
 
@@ -320,11 +310,11 @@ def drift_bracket_check(
 ) -> IdentityReport:
     """Checks [drift, drift] = [X, X]^c - [X^c, X^c] in sup norm; ``model``
     and ``k`` are not read, as no fixed-time atom enters the identity."""
-    return _drift_bracket_report(_decomposition_brackets(X, decomposition, schedule))
+    return _bracket_reports(X, decomposition, schedule)[0]
 
 
 def continuous_bracket_check(
     X: CadlagPath, decomposition: Decomposition, schedule: EpsilonSchedule
 ) -> IdentityReport:
     """Checks [X, X]^c = [X^c, X^c] + [drift, drift]^c in sup norm."""
-    return _continuous_bracket_report(_decomposition_brackets(X, decomposition, schedule))
+    return _bracket_reports(X, decomposition, schedule)[1]

@@ -39,9 +39,7 @@ import numpy as np
 
 from . import __version__
 from .characteristics import (
-    _continuous_bracket_report,
-    _decomposition_brackets,
-    _drift_bracket_report,
+    _bracket_reports,
     decompose,
     smooth_clip_truncation,
     standard_truncation,
@@ -73,9 +71,8 @@ from .simulate import (
     LevyJumpDiffusion,
     SeedSpec,
     UniformJumps,
-    _MAX_FBM_STEPS,
     _QUAD_NODES,
-    _component_list,
+    _check_simulable,
     simulate_path,
 )
 
@@ -117,8 +114,6 @@ _HEAVISIDE_DEFAULTS = {"jump_time": 0.5, "jump_size": 1.0}
 _TEST_FUNCTIONS = {"exptanh": exp_tanh, "dampedsine": damped_sine, "bump": bump}
 # the truncation functions by their config key
 _TRUNCATIONS = {"standard": standard_truncation, "smooth_clip": smooth_clip_truncation}
-# the largest Poisson mean numpy's Generator.poisson draws (its POISSON_LAM_MAX)
-_POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 
 class ConfigError(ValueError):
@@ -211,22 +206,13 @@ def _with_model_defaults(spec: dict) -> dict:
 
 def _build_model(cfg: dict, grids: list[TimeGrid]):
     """The model of a config's ``model`` section, to be simulated on ``grids``;
-    bad parameters, a jump rate whose Poisson mean over the horizon numpy
-    cannot draw, and fractional noise on more steps than its generator takes
-    are config errors."""
+    bad parameters and a model the simulator rejects on the finest grid are
+    config errors."""
     try:
         model = _model_from_spec(cfg["model"])
+        _check_simulable(model, max(grids, key=lambda grid: grid.n_steps))
     except ValueError as exc:
         raise ConfigError(f"bad model: {exc}") from exc
-    horizon = cfg["grid"]["horizon"]
-    steps = max(grid.n_steps for grid in grids)
-    for comp in _component_list(model):
-        if isinstance(comp, CompoundPoisson) and comp.rate * horizon > _POISSON_LAM_MAX:
-            raise ConfigError(f"bad model: rate {comp.rate!r} over horizon {horizon!r} is a "
-                              f"Poisson mean above {_POISSON_LAM_MAX:.6g}, the largest numpy draws")
-        if isinstance(comp, FractionalBrownianMotion) and comp.scale > 0 and steps > _MAX_FBM_STEPS:
-            raise ConfigError(f"bad model: fbm on {steps} steps is above the step limit "
-                              f"{_MAX_FBM_STEPS} (2^23) of exact fractional noise")
     return model
 
 
@@ -417,11 +403,8 @@ def cmd_decompose(cfg: dict):
     reports = {}
     nonconverged = False
     dec = decompose(X, model, k)
-    brackets = _decomposition_brackets(X, dec, schedule)
-    for label, rep in (
-        ("drift_bracket", _drift_bracket_report(brackets)),
-        ("continuous_bracket", _continuous_bracket_report(brackets)),
-    ):
+    for label, rep in zip(("drift_bracket", "continuous_bracket"),
+                          _bracket_reports(X, dec, schedule)):
         reports[label] = {
             "lhs_sup": float(np.max(np.abs(rep.lhs))),
             "rhs_sup": float(np.max(np.abs(rep.rhs))),

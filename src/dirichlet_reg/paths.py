@@ -127,8 +127,7 @@ class CadlagPath:
     def jump_indices(self) -> np.ndarray:
         """Nodes where the path jumps, in increasing order; one path only, as
         the flat indices of a stack would name no node."""
-        if self.jumps.ndim != 1:
-            raise ValueError("jump_indices needs one path; take path(j) of a stack")
+        _check_one_path(self, "jump_indices")
         return np.flatnonzero(self.jumps)
 
     @property
@@ -149,6 +148,7 @@ class CadlagPath:
 
     def eval(self, t: float, side: str = "right") -> float:
         """Value at grid time ``t``; ``side='left'`` gives the left limit."""
+        _check_one_path(self, "eval")
         i = self.grid.index_of(t)
         if side == "right":
             return float(self.values[i])
@@ -169,6 +169,7 @@ class CadlagPath:
 
     def to_csv(self, path) -> None:
         """Write ``t,value,jump`` rows (exact round trip, see ``_write_csv``)."""
+        _check_one_path(self, "to_csv")
         _write_csv(path, ["t", "value", "jump"], self.grid.times(), self.values, self.jumps)
 
     @classmethod
@@ -258,6 +259,12 @@ def star_integral(
     # cumsum adds in time order, as a running total does (np.sum pairs terms
     # and differs in the last bits); + 0.0 turns a -0.0 total into 0.0
     return float(np.cumsum(v)[-1] + 0.0)
+
+
+def _check_one_path(X: CadlagPath, reader: str) -> None:
+    """A reader that needs one path rejects a stack by name."""
+    if X.values.ndim != 1:
+        raise ValueError(f"{reader} needs one path; take path(j) of a stack")
 
 
 def _check_grids(X: CadlagPath, Y: CadlagPath) -> None:

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .paths import CadlagPath, TimeGrid, _check_grids
+from .paths import CadlagPath, TimeGrid, _check_grids, _check_one_path
 
 __all__ = [
     "EpsilonSchedule",
@@ -280,6 +280,8 @@ def _limit(
     """Estimate from the trajectories form(m), m over the schedule's multiples,
     each copied into its row of the estimate as soon as it is computed: no
     list of them and no stacked copy are held at once."""
+    for path in (X, Y):
+        _check_one_path(path, "a limit estimate")
     eps = schedule.epsilons(X.grid)
     _check_grids(X, Y)
     ms = schedule.multiples

@@ -47,6 +47,8 @@ __all__ = [
 
 _QUAD_NODES = 40
 _MAX_FBM_STEPS = 1 << 23
+# the largest Poisson mean numpy's Generator.poisson draws (its POISSON_LAM_MAX)
+_POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 # Complex nodes per inverse FFT of fractional noise: a block of
 # _FFT_NODES // (2n) rows keeps each complex temporary near 512 kB, whatever
 # the batch size.
@@ -282,11 +284,6 @@ def _brownian_values(grid: TimeGrid, sigma: float, rngs: Iterator[np.random.Gene
 def _circulant_root(n: int, hurst: float) -> np.ndarray:
     """Square roots of the circulant-embedding eigenvalues of unit-variance
     fractional Gaussian noise over ``n`` steps, as a read-only (2n,) array."""
-    if n > _MAX_FBM_STEPS:
-        raise MemoryError(
-            f"grid too fine for exact fractional noise generation "
-            f"({n} steps > {_MAX_FBM_STEPS})"
-        )
     k = np.arange(n + 1, dtype=np.float64)
     h2 = 2.0 * hurst
     rho = 0.5 * (np.abs(k + 1) ** h2 + np.abs(k - 1) ** h2 - 2 * k**h2)
@@ -297,7 +294,6 @@ def _circulant_root(n: int, hurst: float) -> np.ndarray:
     root = np.sqrt(np.clip(eig, 0.0, None))
     root.flags.writeable = False
     return root
-
 
 
 def _fbm_values(grid: TimeGrid, hurst: float, scale: float, rngs: Iterator[np.random.Generator],
@@ -356,6 +352,20 @@ def _component_list(model: ModelSpec) -> list:
     return [model]
 
 
+def _check_simulable(model: ModelSpec, grid: TimeGrid) -> None:
+    """Rejects, before anything is allocated, a jump rate whose Poisson mean
+    over the horizon numpy cannot draw and fractional noise on more steps
+    than its generator takes."""
+    for comp in _component_list(model):
+        if isinstance(comp, CompoundPoisson) and comp.rate * grid.T > _POISSON_LAM_MAX:
+            raise ValueError(f"rate {comp.rate!r} over horizon {grid.T!r} is a Poisson mean "
+                             f"above {_POISSON_LAM_MAX:.6g}, the largest numpy draws")
+        if (isinstance(comp, FractionalBrownianMotion) and comp.scale > 0
+                and grid.n_steps > _MAX_FBM_STEPS):
+            raise ValueError(f"fbm on {grid.n_steps} steps is above the step limit "
+                             f"{_MAX_FBM_STEPS} (2^23) of exact fractional noise")
+
+
 def _component_name(comp, taken: set[str]) -> str:
     """Stable component key: bare kind name, then kind2, kind3, ..."""
     base = {
@@ -403,7 +413,9 @@ def simulate_batch(model: ModelSpec, grid: TimeGrid, master_seed: int, indices) 
 
     ``components`` holds one stack per model component (drift, diffusion,
     fractional and jump parts), which the characteristics decomposition reads.
+    A model beyond the limits of ``_check_simulable`` raises ``ValueError`` first.
     """
+    _check_simulable(model, grid)
     indices = [int(i) for i in indices]
     streams = _Substreams(master_seed)
     shape = (len(indices), grid.n_nodes)

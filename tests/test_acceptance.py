@@ -228,14 +228,12 @@ RESIDUAL_COMBOS = [
 RESIDUAL_FUNCTIONS = [exp_tanh(), damped_sine()]
 
 
-def _suite_stats(grid, master_seed, n_paths, batch_size=4096):
+def _suite_stats(grid, master_seed, n_paths):
     """All z statistics of the 4 models x 2 functions residual suite."""
     stats = {}
     for mname, model in RESIDUAL_COMBOS:
         for F in RESIDUAL_FUNCTIONS:
-            ens = residual_ensemble(
-                model, grid, STD, F, master_seed, n_paths, batch_size=batch_size
-            )
+            ens = residual_ensemble(model, grid, STD, F, master_seed, n_paths)
             rep = martingale_mean_test(ens)
             zs = list(rep.zscores) + [o.z for o in rep.orthogonality]
             stats[f"{mname}/{F.name}"] = zs
@@ -252,7 +250,7 @@ def test_criterion_6_martingale_residual_suite():
     cal_grid = TimeGrid(1.0, 256)
     total = passed = 0
     for seed in range(3000, 3020):
-        for zs in _suite_stats(cal_grid, seed, n_paths=2000, batch_size=2000).values():
+        for zs in _suite_stats(cal_grid, seed, n_paths=2000).values():
             total += len(zs)
             passed += sum(abs(z) <= 3.0 for z in zs)
     rate = passed / total

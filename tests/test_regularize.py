@@ -629,3 +629,25 @@ class TestLimit:
         row = grid.n_nodes * 8
         assert peak < est.trajectories.nbytes + 4 * row
         assert est.limit.tobytes() == est.trajectories[-1].tobytes()
+
+
+# a (3, 3) stack: three paths on a two-step grid
+STACK = CadlagPath(TimeGrid(1.0, 2), np.arange(9.0).reshape(3, 3))
+ONE_STEP = EpsilonSchedule((1,))
+
+
+@pytest.mark.parametrize("read", [
+    lambda X, out: qv_decompose(X, ONE_STEP),
+    lambda X, out: covariation_limit(X, X, ONE_STEP),
+    lambda X, out: covariation_limit(X.path(0), X, ONE_STEP),
+    lambda X, out: forward_integral_limit(X, X, ONE_STEP),
+    lambda X, out: pure_jump_covariation_check(X, X, ONE_STEP),
+    lambda X, out: smooth_map_qv_check(X, np.sin, np.cos, ONE_STEP),
+    lambda X, out: X.eval(0.5),
+    lambda X, out: X.to_csv(out / "stack.csv"),
+], ids=["qv_decompose", "covariation_limit", "covariation_limit_of_a_row", "forward_integral_limit",
+        "pure_jump_covariation_check", "smooth_map_qv_check", "eval", "to_csv"])
+def test_a_stack_where_one_path_is_needed_is_named(tmp_path, read):
+    with pytest.raises(ValueError, match=r"needs one path; take path\(j\) of a stack"):
+        read(STACK, tmp_path)
+    assert not (tmp_path / "stack.csv").exists()

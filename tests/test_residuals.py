@@ -246,10 +246,11 @@ class TestForwardConvergence:
 
     @pytest.mark.parametrize("batch_size", [1, 7, 64])
     @pytest.mark.parametrize("family", ["fbm", "composite", "jump_diffusion"])
-    def test_ensemble_counts_nonconverged_rows(self, family, batch_size):
+    def test_ensemble_counts_nonconverged_rows(self, monkeypatch, family, batch_size):
         grid = TimeGrid(1.0, 256)
         model = FAMILIES[family]
-        ens = residual_ensemble(model, grid, STD, exp_tanh(), 5, 64, batch_size=batch_size)
+        force_batch(monkeypatch, batch_size, grid)
+        ens = residual_ensemble(model, grid, STD, exp_tanh(), 5, 64)
         flags = [
             weak_dirichlet_residual(simulate_path(model, grid, SeedSpec(5, i)), model, STD,
                                     exp_tanh()).forward_converged
@@ -299,12 +300,21 @@ class TestMartingaleMeanTest:
         assert len(d["orthogonality"]) == 9
 
 
+def force_batch(monkeypatch, batch_size, grid):
+    """Make residual_ensemble simulate ``batch_size`` paths per batch on ``grid``."""
+    monkeypatch.setattr(residuals, "_BATCH_NODES", batch_size * grid.n_nodes)
+
+
 @functools.cache
 def ensemble_bytes(family, mode, batch_size, n_paths=70):
     """Every result of a residual ensemble as bytes: residual_at, path_at and
-    the non-converged count.  70 paths cross two 32-row residual blocks."""
-    ens = residual_ensemble(FAMILIES[family], TimeGrid(1.0, 64), STD, exp_tanh(), 23, n_paths,
-                            mode=mode, batch_size=batch_size)
+    the non-converged count, at ``batch_size`` paths per batch (None: the
+    grid's batch).  70 paths cross two 32-row residual blocks."""
+    grid = TimeGrid(1.0, 64)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if batch_size is not None:
+            force_batch(monkeypatch, batch_size, grid)
+        ens = residual_ensemble(FAMILIES[family], grid, STD, exp_tanh(), 23, n_paths, mode=mode)
     return (
         [(t, a.tobytes()) for t, a in ens.residual_at.items()],
         [(s, a.tobytes()) for s, a in ens.path_at.items()],
@@ -325,12 +335,12 @@ class TestEnsembleRunner:
         full = ensemble_bytes(family, mode, 4096, n_paths=4097)
         assert full == ensemble_bytes(family, mode, 33, n_paths=4097)
 
-    def test_meta_reports_stages_jumps_and_probe_nodes(self):
+    def test_meta_reports_stages_jumps_and_probe_nodes(self, monkeypatch):
         # dt = 0.1: the probes t/4 and t/2 of t = 0.5 and 1.0 snap to nodes
         grid = TimeGrid(1.0, 10)
         model = FAMILIES["compound_poisson"]
-        ens = residual_ensemble(model, grid, STD, exp_tanh(), 8, 40, times=(0.5, 1.0),
-                                batch_size=16)
+        force_batch(monkeypatch, 16, grid)
+        ens = residual_ensemble(model, grid, STD, exp_tanh(), 8, 40, times=(0.5, 1.0))
         assert ens.meta["probe_nodes"] == [
             {"probe": 0.125, "grid_time": 0.1},
             {"probe": 0.25, "grid_time": 0.2},
@@ -342,23 +352,26 @@ class TestEnsembleRunner:
         assert set(ens.meta["seconds"]) == {"simulate", "residual"}
         assert all(s > 0.0 for s in ens.meta["seconds"].values())
 
-    def test_batch_size_does_not_change_results(self):
+    def test_batch_size_does_not_change_results(self, monkeypatch):
         grid = TimeGrid(1.0, 128)
         model = LevyJumpDiffusion(0.2, 1.0, 1.0, GaussianJumps(0.0, 0.3))
-        a = residual_ensemble(model, grid, STD, exp_tanh(), 42, 300, batch_size=7)
-        b = residual_ensemble(model, grid, STD, exp_tanh(), 42, 300, batch_size=300)
+        force_batch(monkeypatch, 7, grid)
+        a = residual_ensemble(model, grid, STD, exp_tanh(), 42, 300)
+        force_batch(monkeypatch, 300, grid)
+        b = residual_ensemble(model, grid, STD, exp_tanh(), 42, 300)
         for t in a.residual_at:
             assert np.array_equal(a.residual_at[t], b.residual_at[t])
 
     @pytest.mark.parametrize("F", ALL_FUNCTIONS, ids=lambda F: F.name)
     @pytest.mark.parametrize("family,mode", FAMILY_MODES)
-    def test_matches_per_path_residuals(self, family, mode, F):
+    def test_matches_per_path_residuals(self, monkeypatch, family, mode, F):
         # both go through one kernel: the ensemble rows are the per-path
         # residuals bit for bit, at test and probe times alike
         grid = TimeGrid(1.0, 256)
         model = FAMILIES[family]
         residual = weak_dirichlet_residual if mode == "weak_dirichlet" else semimartingale_residual
-        ens = residual_ensemble(model, grid, STD, F, 11, 5, mode=mode, batch_size=3)
+        force_batch(monkeypatch, 3, grid)
+        ens = residual_ensemble(model, grid, STD, F, 11, 5, mode=mode)
         for i in range(5):
             X = simulate_path(model, grid, SeedSpec(11, i))
             r = residual(X, model, STD, F)

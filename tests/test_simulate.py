@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,9 @@ from dirichlet_reg import (
     simulate_path,
     standard_truncation,
 )
-from dirichlet_reg.simulate import _QUAD_NODES, _circulant_root, _gauss_rule, _Substreams
+from dirichlet_reg.simulate import (
+    _POISSON_LAM_MAX, _QUAD_NODES, _check_simulable, _circulant_root, _gauss_rule, _Substreams,
+)
 
 LAW = GaussianJumps(0.0, 1.0)
 FAMILIES = {
@@ -71,9 +75,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             Composite((inner,))
 
-    def test_fgn_capacity_guard(self):
-        with pytest.raises(MemoryError):
-            _circulant_root((1 << 23) + 1, 0.7)
+    def test_poisson_mean_beyond_numpy_is_rejected(self):
+        with pytest.raises(ValueError, match="Poisson mean"):
+            simulate_path(CompoundPoisson(1e19, LAW), TimeGrid(1.0, 4), SeedSpec(0, 0))
+
+    def test_poisson_mean_limit_is_rate_times_horizon(self):
+        model = CompoundPoisson(_POISSON_LAM_MAX, LAW)
+        _check_simulable(model, TimeGrid(1.0, 4))
+        with pytest.raises(ValueError, match="over horizon 2.0 is a Poisson mean"):
+            _check_simulable(model, TimeGrid(2.0, 4))
+
+    def test_fbm_beyond_the_step_limit_is_rejected_before_any_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="step limit"):
+                simulate_batch(FractionalBrownianMotion(0.7), TimeGrid(1.0, 2**23 + 1), 0, [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # one (2^23 + 2,) row would take 64 MiB
+
+    def test_zero_scale_fbm_has_no_step_limit(self):
+        _check_simulable(FractionalBrownianMotion(0.7, 0.0), TimeGrid(1.0, 2**23 + 1))
+        _check_simulable(FractionalBrownianMotion(0.7), TimeGrid(1.0, 2**23))
 
     @pytest.mark.parametrize("make, field", [
         pytest.param(lambda: CompoundPoisson(np.nan, LAW), "rate", id="cp_rate_nan"),
