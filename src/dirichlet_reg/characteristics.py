@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .paths import CadlagPath, TimeGrid
+from .paths import CadlagPath, TimeGrid, _check_grids, _check_one_path
 from .regularize import (
     EpsilonSchedule,
     IdentityReport,
@@ -257,6 +257,7 @@ def decompose(
     path dependent); the continuous part is the remainder, so the four parts
     reproduce X at every node by construction.
     """
+    _check_one_path(X, "decompose")
     chars = _as_chars(model, k)
     grid = X.grid
     times = grid.times()
@@ -288,6 +289,7 @@ def _bracket_reports(X, decomposition, schedule) -> tuple[IdentityReport, Identi
     """The drift-bracket identity's report and the continuous split's, both
     read off [X, X], [X^c, X^c] and [drift, drift], each estimated once."""
     xc = decomposition.continuous
+    _check_grids(X, xc)
     qv_x = qv_decompose(X, schedule)
     qv_xc = covariation_limit(xc, xc, schedule)
     qv_bk = qv_decompose(decomposition.drift, schedule)

@@ -111,7 +111,7 @@ _RECOVER_DEFAULTS = {key: p.default
                      if p.default is not p.empty}
 _HEAVISIDE_DEFAULTS = {"jump_time": 0.5, "jump_size": 1.0}
 # the residual test functions by their --function name and config key
-_TEST_FUNCTIONS = {"exptanh": exp_tanh, "dampedsine": damped_sine, "bump": bump}
+_TEST_FUNCTIONS = {F().name: F for F in (exp_tanh, damped_sine, bump)}
 # the truncation functions by their config key
 _TRUNCATIONS = {"standard": standard_truncation, "smooth_clip": smooth_clip_truncation}
 

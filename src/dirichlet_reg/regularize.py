@@ -57,6 +57,8 @@ class EpsilonSchedule:
 
     def __post_init__(self):
         ms = tuple(int(m) for m in self.multiples)
+        if ms != tuple(self.multiples):
+            raise ValueError(f"eps multiples must be integers, got {tuple(self.multiples)}")
         if not ms:
             raise ValueError("schedule must contain at least one eps value")
         if any(m < 1 for m in ms):
@@ -87,10 +89,9 @@ def _check_eps(X: CadlagPath, Y: CadlagPath, eps: float) -> int:
     _check_grids(X, Y)
     grid = X.grid
     m = int(round(eps / grid.dt))
-    if m < 1 or abs(m * grid.dt - eps) > 1e-9 * grid.dt:
-        raise ValueError(f"eps={eps} is not a positive multiple of dt={grid.dt}")
-    if eps >= grid.T:
-        raise ValueError("eps must be smaller than the horizon")
+    if abs(m * grid.dt - eps) > 1e-9 * grid.dt:
+        raise ValueError(f"eps={eps} is not a multiple of dt={grid.dt}")
+    EpsilonSchedule((m,)).epsilons(grid)
     return m
 
 

@@ -167,12 +167,16 @@ def _compensator_term(times: np.ndarray, left: np.ndarray, f_left: np.ndarray,
     return integrand
 
 
-def _check_mode(chars: CharacteristicsModel, mode: str) -> None:
+def _check_mode(chars: CharacteristicsModel, mode: str, grid: TimeGrid,
+                schedule: EpsilonSchedule | None) -> None:
+    """The residual's input rules: its mode, and the eps schedule it runs on ``grid``."""
     if mode not in ("weak_dirichlet", "semimartingale"):
         raise ValueError(f"unknown residual mode {mode!r}")
     if mode == "semimartingale" and not chars.bk_finite_variation:
         raise ValueError("classical residual needs a finite-variation drift characteristic; "
                          "use weak_dirichlet mode for path-dependent drift")
+    if schedule is not None or not chars.bk_finite_variation:
+        (schedule or default_schedule(grid)).epsilons(grid)
 
 
 def _residual_blocks(
@@ -260,7 +264,7 @@ def _path_residual(
     schedule: EpsilonSchedule | None = None,
 ) -> ResidualPath:
     """Per-path residual: the one block of the batch-of-one kernel call."""
-    _check_mode(chars, mode)
+    _check_mode(chars, mode, X.grid, schedule)
     [(_, values, converged)] = _residual_blocks(
         chars, X.grid, X.values[None], X.left_values()[None],
         chars.bk_values(X)[None], F, mode, schedule,
@@ -352,7 +356,7 @@ def residual_ensemble(
     simulating (with the drift characteristic) and assembling residuals.
     """
     chars = _as_chars(model, k)
-    _check_mode(chars, mode)
+    _check_mode(chars, mode, grid, schedule)
     if len(times) == 0:
         raise ValueError("need at least one test time")
     if batch_size is None:

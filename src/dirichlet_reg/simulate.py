@@ -211,7 +211,9 @@ class DeterministicDrift:
     f: Callable[[np.ndarray], np.ndarray]
 
 
-_LEAF_KINDS = (BrownianMotion, FractionalBrownianMotion, CompoundPoisson, DeterministicDrift)
+# the leaf model kinds, each with the base name of its component path
+_LEAF_NAMES = {BrownianMotion: "bm", FractionalBrownianMotion: "fbm", CompoundPoisson: "cp",
+               DeterministicDrift: "drift"}
 
 
 @dataclass(frozen=True)
@@ -225,7 +227,7 @@ class Composite:
         if not comps:
             raise ValueError("composite needs at least one component")
         for c in comps:
-            if not isinstance(c, _LEAF_KINDS):
+            if type(c) not in _LEAF_NAMES:
                 raise ValueError(f"composite components must be leaf models, got {type(c).__name__}")
         object.__setattr__(self, "components", comps)
 
@@ -349,6 +351,8 @@ def _component_list(model: ModelSpec) -> list:
             BrownianMotion(model.sigma),
             CompoundPoisson(model.rate, model.law),
         ]
+    if type(model) not in _LEAF_NAMES:
+        raise TypeError(f"not a model: {type(model).__name__}")
     return [model]
 
 
@@ -368,12 +372,7 @@ def _check_simulable(model: ModelSpec, grid: TimeGrid) -> None:
 
 def _component_name(comp, taken: set[str]) -> str:
     """Stable component key: bare kind name, then kind2, kind3, ..."""
-    base = {
-        BrownianMotion: "bm",
-        FractionalBrownianMotion: "fbm",
-        CompoundPoisson: "cp",
-        DeterministicDrift: "drift",
-    }[type(comp)]
+    base = _LEAF_NAMES[type(comp)]
     name, n = base, 1
     while name in taken:
         n += 1

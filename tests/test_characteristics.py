@@ -13,6 +13,7 @@ from dirichlet_reg import (
     EpsilonSchedule,
     FractionalBrownianMotion,
     GaussianJumps,
+    GridMismatchError,
     LevyJumpDiffusion,
     SeedSpec,
     TimeGrid,
@@ -98,6 +99,10 @@ class TestKnownCharacteristics:
         model = LevyJumpDiffusion(0.5, 1.0, 2.0, UniformJumps(-0.5, 0.5))
         ch = known_characteristics(model, STD)
         assert ch.drift_slope == pytest.approx(0.5, abs=1e-14)
+
+    def test_a_non_model_has_no_known_characteristics(self):
+        with pytest.raises(TypeError, match="no known characteristics for GaussianJumps"):
+            known_characteristics(GaussianJumps(0.0, 1.0), STD)
 
 
 class TestConvertTruncation:
@@ -211,12 +216,16 @@ class TestDecompose:
         assert np.max(np.abs(dec.drift.values - expected)) < 1e-12
         assert dec.reconstruction_error < 1e-10
 
-    def test_composite_needs_component_logs(self):
+    @pytest.mark.parametrize("logs, match", [
+        (lambda X: None, "needs component logs"),
+        (lambda X: {"bm": X.components["bm"]}, r"missing component logs: \['fbm'\]"),
+    ], ids=["no_logs", "no_fbm_log"])
+    def test_composite_needs_component_logs(self, logs, match):
         grid = TimeGrid(1.0, 500)
         model = Composite((BrownianMotion(1.0), FractionalBrownianMotion(0.7, 0.5)))
         X = simulate_path(model, grid, SeedSpec(9, 0))
-        bare = CadlagPath(grid, X.values, X.jumps)
-        with pytest.raises(ComponentLogError):
+        bare = CadlagPath(grid, X.values, X.jumps, logs(X))
+        with pytest.raises(ComponentLogError, match=match):
             decompose(bare, model, STD)
 
     def test_compensated_jump_part_is_centered(self):
@@ -287,6 +296,17 @@ class TestBracketIdentities:
         )
         rhs = drift_bracket_check(X, dec, chars, STD, default_schedule(grid)).rhs
         assert np.max(np.abs(rhs - grid.times())) < 0.05
+
+    @pytest.mark.parametrize("check", [
+        lambda X, dec, schedule: drift_bracket_check(X, dec, BrownianMotion(1.0), STD, schedule),
+        continuous_bracket_check,
+    ], ids=["drift_bracket", "continuous_bracket"])
+    def test_a_decomposition_on_another_grid_is_rejected(self, check):
+        model = BrownianMotion(1.0)
+        X = simulate_path(model, TimeGrid(1.0, 64), SeedSpec(0, 0))
+        X2 = simulate_path(model, TimeGrid(1.0, 128), SeedSpec(0, 0))
+        with pytest.raises(GridMismatchError):
+            check(X, decompose(X2, model, STD), EpsilonSchedule((4, 2, 1)))
 
     def test_continuous_bracket_split_brownian(self):
         grid = TimeGrid(1.0, 5000)

@@ -179,15 +179,18 @@ class TestBadInput:
         assert "step limit 8388608" in err
 
 
+    # qv and fwdint read a model only for the default model source
     @pytest.mark.parametrize("command,section", [
         ("simulate", "model"), ("residual", "model"), ("decompose", "model"),
         ("sweep", "model"), ("sweep", "sweep"), ("recover", "recover"),
+        ("qv", "model"), ("fwdint", "model"),
     ])
     def test_missing_section_exits_2(self, tmp_path, capsys, command, section):
         cfg = {"grid": self.GRID, "model": self.BM, "sweep": {"steps_list": [100]},
                "recover": {"psi_csv": str(tmp_path / "psi.csv")}}
         del cfg[section]
-        self.check_rejected(tmp_path, command, cfg, capsys)
+        err = self.check_rejected(tmp_path, command, cfg, capsys)
+        assert section in err
 
     BAD_LAWS = {
         "unnormalized": {"kind": "discrete", "values": [1.0, -1.0], "probabilities": [0.5, 0.6]},
@@ -494,11 +497,13 @@ class TestQv:
 
 
 class TestFwdInt:
-    def test_constant_integrand_on_drift_model(self, tmp_path):
+    # on X_t = t the identity integrand is the time integrand: both integrate to 1/2
+    @pytest.mark.parametrize("integrand", ["time", "identity"])
+    def test_constant_integrand_on_drift_model(self, tmp_path, integrand):
         cfg = {
             "grid": {"horizon": 1.0, "steps": 1000},
             "model": {"kind": "drift", "coeffs": [0.0, 1.0]},
-            "integrand": "time",
+            "integrand": integrand,
         }
         code, out = run(tmp_path, "fwdint", cfg)
         assert code == 0

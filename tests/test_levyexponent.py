@@ -309,6 +309,24 @@ class TestGridValidationAndIo:
         with pytest.raises(ValueError, match="strictly increasing"):
             GriddedDensity(xs, np.ones_like(xs))
 
+    @pytest.mark.parametrize("xs, density, match", [
+        (np.linspace(-2.0, 2.0, 41), np.ones(40), "grid and density must be aligned 1-d arrays"),
+        (np.zeros((2, 3)), np.ones((2, 3)), "aligned 1-d arrays"),
+        (np.array([0.5]), np.ones(1), "aligned 1-d arrays"),
+        (np.array([-2.0, -1.0, 0.5, 2.0]), np.ones(4), "x-grid must be uniform"),
+        (np.linspace(-2.0, 2.0, 41), np.r_[np.ones(40), np.nan], "density values must be finite"),
+        (np.linspace(-2.0, 2.0, 41), np.r_[-np.inf, np.ones(40)], "density values must be finite"),
+    ], ids=["misaligned", "2d", "one_sample", "non_uniform", "nan", "inf"])
+    def test_bad_density_grid_or_values_rejected(self, xs, density, match):
+        with pytest.raises(ValueError, match=match):
+            GriddedDensity(xs, density)
+
+    @pytest.mark.parametrize("xs, ws", [([0.5, 1.0], [1.0]), ([[0.5]], [[1.0]])],
+                             ids=["misaligned", "2d"])
+    def test_atoms_must_be_aligned_1d(self, xs, ws):
+        with pytest.raises(ValueError, match="must be 1-d and aligned"):
+            WeightedAtoms(np.array(xs), np.array(ws))
+
     def test_nonzero_origin_rejected(self):
         u = ExponentGrid.symmetric_grid(5.0, 65)
         psi = np.zeros(65, dtype=complex)

@@ -37,6 +37,23 @@ class TestTimeGrid:
     def test_accepts_numpy_integer_steps(self):
         assert TimeGrid(1.0, np.int64(4)).times().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
+    @pytest.mark.parametrize("T, n_steps, t", [
+        (952.7567616664039, 7765456, 949.38059364882),
+        (1.0, 4, 0.125), (1.0, 4, -0.125), (1.0, 4, 1.125),
+    ])
+    def test_every_time_within_half_a_step_of_the_range_has_a_node(self, T, n_steps, t):
+        # the first time lies halfway between two nodes of a fine grid, where
+        # rounding put it a hair beyond dt/2 from the nearest one
+        grid = TimeGrid(T, n_steps)
+        i = grid.index_of(t)
+        assert 0 <= i <= n_steps
+        assert abs(t - i * grid.dt) <= 0.5 * grid.dt * (1 + 1e-6)
+
+    @pytest.mark.parametrize("t", [np.nan, 1.13, -0.2, np.inf])
+    def test_a_time_outside_the_range_is_named(self, t):
+        with pytest.raises(GridAlignmentError, match=f"time {t} outside"):
+            TimeGrid(1.0, 4).index_of(t)
+
 
 class TestEval:
     def test_heaviside_left_limit_before_jump(self, grid):
@@ -57,6 +74,10 @@ class TestEval:
             heaviside(grid).eval(1.2, "right")
         with pytest.raises(GridAlignmentError):
             heaviside(grid).eval(-0.3, "left")
+
+    def test_unknown_side_raises(self, grid):
+        with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'middle'"):
+            heaviside(grid).eval(0.5, "middle")
 
     def test_times_snap_to_nearest_node_within_half_step(self, grid):
         # alignment tolerance is dt/2: near-node queries resolve to the node

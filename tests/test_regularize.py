@@ -18,6 +18,7 @@ from dirichlet_reg import (
     combine,
     covariation_eps,
     covariation_limit,
+    decompose,
     default_schedule,
     forward_integral_eps,
     forward_integral_limit,
@@ -26,6 +27,8 @@ from dirichlet_reg import (
     simulate_path,
     smooth_map_cross_check,
     smooth_map_qv_check,
+    standard_truncation,
+    star_integral,
 )
 import dirichlet_reg.regularize as regularize
 from dirichlet_reg.regularize import _fwd_eps, _identity_report, _qv_eps, _refinement
@@ -62,6 +65,30 @@ class TestSchedule:
     def test_rejects_sub_grid_eps(self):
         with pytest.raises(ValueError):
             EpsilonSchedule((0,))
+
+    @pytest.mark.parametrize("multiples, match", [
+        ((), "at least one eps value"),
+        ((32.7, 16), "must be integers"),
+        ((32.7, 16.2, 2), "must be integers"),
+    ], ids=["empty", "fraction", "fractions"])
+    def test_rejects_empty_and_fractional_multiples(self, multiples, match):
+        # int() would truncate (32.7, 16.2, 2) to (32, 16, 2) without a word
+        with pytest.raises(ValueError, match=match):
+            EpsilonSchedule(multiples)
+
+    def test_accepts_integral_floats_and_numpy_integers(self):
+        assert EpsilonSchedule((4.0, np.int64(2), 1)).multiples == (4, 2, 1)
+
+    @pytest.mark.parametrize("m, match", [
+        (0, "at least one grid step"), (-2, "at least one grid step"),
+        (1000, "smaller than the horizon"), (1200, "smaller than the horizon"),
+    ])
+    def test_eps_shifts_follow_the_schedule_rule(self, grid, m, match):
+        X = CadlagPath(grid, np.full(grid.n_nodes, 1.0))
+        with pytest.raises(ValueError, match=match):
+            covariation_eps(X, X, m * grid.dt)
+        with pytest.raises(ValueError, match=match):
+            EpsilonSchedule((m,)).epsilons(grid)
 
     def test_eps_must_be_grid_multiple(self, grid):
         X = CadlagPath(grid, np.full(grid.n_nodes, 1.0))
@@ -636,18 +663,22 @@ STACK = CadlagPath(TimeGrid(1.0, 2), np.arange(9.0).reshape(3, 3))
 ONE_STEP = EpsilonSchedule((1,))
 
 
-@pytest.mark.parametrize("read", [
-    lambda X, out: qv_decompose(X, ONE_STEP),
-    lambda X, out: covariation_limit(X, X, ONE_STEP),
-    lambda X, out: covariation_limit(X.path(0), X, ONE_STEP),
-    lambda X, out: forward_integral_limit(X, X, ONE_STEP),
-    lambda X, out: pure_jump_covariation_check(X, X, ONE_STEP),
-    lambda X, out: smooth_map_qv_check(X, np.sin, np.cos, ONE_STEP),
-    lambda X, out: X.eval(0.5),
-    lambda X, out: X.to_csv(out / "stack.csv"),
+@pytest.mark.parametrize("reader, read", [
+    ("a limit estimate", lambda X, out: qv_decompose(X, ONE_STEP)),
+    ("a limit estimate", lambda X, out: covariation_limit(X, X, ONE_STEP)),
+    ("a limit estimate", lambda X, out: covariation_limit(X.path(0), X, ONE_STEP)),
+    ("a limit estimate", lambda X, out: forward_integral_limit(X, X, ONE_STEP)),
+    ("a limit estimate", lambda X, out: pure_jump_covariation_check(X, X, ONE_STEP)),
+    ("a limit estimate", lambda X, out: smooth_map_qv_check(X, np.sin, np.cos, ONE_STEP)),
+    ("eval", lambda X, out: X.eval(0.5)),
+    ("to_csv", lambda X, out: X.to_csv(out / "stack.csv")),
+    ("decompose", lambda X, out: decompose(X, BrownianMotion(1.0), standard_truncation())),
+    ("map", lambda X, out: X.map(np.sin)),
+    ("star_integral", lambda X, out: star_integral(lambda s, x, xl: x, X, 1.0)),
 ], ids=["qv_decompose", "covariation_limit", "covariation_limit_of_a_row", "forward_integral_limit",
-        "pure_jump_covariation_check", "smooth_map_qv_check", "eval", "to_csv"])
-def test_a_stack_where_one_path_is_needed_is_named(tmp_path, read):
-    with pytest.raises(ValueError, match=r"needs one path; take path\(j\) of a stack"):
+        "pure_jump_covariation_check", "smooth_map_qv_check", "eval", "to_csv", "decompose", "map",
+        "star_integral"])
+def test_a_stack_where_one_path_is_needed_is_named(tmp_path, reader, read):
+    with pytest.raises(ValueError, match=rf"^{reader} needs one path; take path\(j\) of a stack"):
         read(STACK, tmp_path)
     assert not (tmp_path / "stack.csv").exists()

@@ -293,6 +293,10 @@ class TestMartingaleMeanTest:
         assert len(rep.orthogonality) == 9
         assert rep.passed
 
+    def test_empty_ensemble_is_rejected(self):
+        with pytest.raises(ValueError, match="empty ensemble"):
+            martingale_mean_test(self._ensemble(lambda t, n: np.zeros(n), n=0))
+
     def test_report_round_trips_to_dict(self):
         ens = self._ensemble(lambda t, n: np.zeros(n))
         d = martingale_mean_test(ens).to_dict()
@@ -393,6 +397,42 @@ class TestEnsembleRunner:
         with pytest.raises(ValueError, match=match):
             residual_ensemble(FAMILIES[family], TimeGrid(1.0, 64), STD, exp_tanh(), 0, 10,
                               mode=mode)
+
+    # a largest eps of 256 steps on a 64-step grid: covariation_limit rejects
+    # the schedule, and so must every residual that runs it
+    @pytest.mark.parametrize("family", ["brownian", "composite"])
+    @pytest.mark.parametrize("run", ["per_path", "ensemble"])
+    def test_a_schedule_beyond_the_horizon_is_rejected(self, monkeypatch, family, run):
+        grid, model = TimeGrid(1.0, 64), FAMILIES[family]
+        schedule = EpsilonSchedule((256, 128, 64))
+        X = simulate_path(model, grid, SeedSpec(0, 0))
+        with pytest.raises(ValueError, match="largest eps must be smaller than the horizon"):
+            covariation_limit(X, X, schedule)
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("paths simulated before the schedule check")
+
+        monkeypatch.setattr(residuals, "simulate_batch", no_simulation)
+        with pytest.raises(ValueError, match="largest eps must be smaller than the horizon"):
+            if run == "per_path":
+                weak_dirichlet_residual(X, model, STD, exp_tanh(), schedule)
+            else:
+                residual_ensemble(model, grid, STD, exp_tanh(), 0, 8, schedule=schedule)
+
+    @pytest.mark.parametrize("mode", ["weak_dirichlet", "semimartingale"])
+    def test_a_finite_variation_drift_needs_no_schedule_on_one_step(self, mode):
+        # default_schedule gives (1,) there, an eps equal to the horizon, but
+        # no eps enters a finite-variation drift's residual
+        grid, model = TimeGrid(1.0, 1), FAMILIES["jump_diffusion"]
+        ens = residual_ensemble(model, grid, STD, exp_tanh(), 0, 4, times=(1.0,), mode=mode)
+        form = weak_dirichlet_residual if mode == "weak_dirichlet" else semimartingale_residual
+        r = form(simulate_path(model, grid, SeedSpec(0, 3)), model, STD, exp_tanh())
+        assert ens.residual_at[1.0][3] == r.values[-1]
+
+    def test_a_characteristics_model_is_not_a_path_source(self):
+        chars = known_characteristics(BrownianMotion(1.0), STD)
+        with pytest.raises(TypeError, match="not a model: CharacteristicsModel"):
+            residual_ensemble(chars, TimeGrid(1.0, 64), STD, exp_tanh(), 0, 10)
 
     def test_empty_times_are_rejected(self):
         with pytest.raises(ValueError, match="at least one test time"):

@@ -70,10 +70,18 @@ class TestValidation:
             UniformJumps(a, b)
         UniformJumps(-0.5e308, 0.5e308)  # a width of 1e308 is a float
 
-    def test_composite_rejects_nesting(self):
-        inner = Composite((BrownianMotion(1.0),))
-        with pytest.raises(ValueError):
-            Composite((inner,))
+    @pytest.mark.parametrize("components, match", [
+        ((Composite((BrownianMotion(1.0),)),), "must be leaf models, got Composite"),
+        ((), "at least one component"),
+    ], ids=["nested", "empty"])
+    def test_composite_rejects_nesting(self, components, match):
+        with pytest.raises(ValueError, match=match):
+            Composite(components)
+
+    @pytest.mark.parametrize("model", [LAW, "brownian", None], ids=["law", "str", "none"])
+    def test_a_non_model_is_a_type_error(self, model):
+        with pytest.raises(TypeError, match=f"not a model: {type(model).__name__}"):
+            simulate_path(model, TimeGrid(1.0, 4), SeedSpec(0, 0))
 
     def test_poisson_mean_beyond_numpy_is_rejected(self):
         with pytest.raises(ValueError, match="Poisson mean"):
@@ -314,6 +322,18 @@ class TestDeterministicModels:
         )
         assert np.all(p.values == 0.0)
         assert p.jump_indices.size == 0
+
+    def test_zero_scale_fbm_draws_zeros_and_keeps_the_later_streams(self):
+        # the zero-scale part still owns substream 0, so the Brownian part
+        # draws substream 1 as beside a nonzero fBm
+        grid = TimeGrid(1.0, 64)
+        rows = {scale: simulate_batch(Composite((FractionalBrownianMotion(0.7, scale),
+                                                 BrownianMotion(1.0))), grid, 3, range(4))
+                for scale in (0.0, 1.0)}
+        assert not rows[0.0].components["fbm"].values.any()
+        assert (rows[0.0].components["bm"].values.tobytes()
+                == rows[1.0].components["bm"].values.tobytes())
+        assert rows[0.0].values.tobytes() == rows[0.0].components["bm"].values.tobytes()
 
 
 class TestStatistics:
